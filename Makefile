@@ -1,8 +1,9 @@
 # Verification tiers (see ROADMAP.md).
 #
 #   tier1  - build + unit/equivalence tests (the gate every change must pass)
-#   tier2  - static analysis + the full suite under the race detector
-#            (the parallel engine's data-race hygiene gate)
+#   tier2  - static analysis (vet + gofmt over the tracked Go files) and
+#            the full suite under the race detector (guards the serve
+#            daemon's HTTP handlers and telemetry scraper goroutines)
 #   chaos  - the fault-injection chaos harness under the race detector
 #            (fixed seed matrix; conservation + bit-for-bit replay)
 #   soak   - the 20-seed degrade->restore chaos matrix under the race
@@ -17,7 +18,7 @@
 #            byte-identical, zero silent word loss at the end
 #   fuzz   - short runs of the interpreter, allocator, fault-schedule,
 #            chip-snapshot, topology-spec, and workload-spec fuzz targets
-#   bench  - the simulator-speed benchmark at 1 and NumCPU workers
+#   bench  - the simulator-speed benchmark (host ns per router cycle)
 #   bench-telemetry - regenerate BENCH_telemetry.json; fails if the
 #            disabled telemetry plane costs >1% vs the pre-telemetry
 #            commit (interleaved same-session legs)
@@ -52,6 +53,7 @@ tier1:
 
 tier2:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) test -race ./...
 
 chaos:

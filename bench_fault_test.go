@@ -2,7 +2,7 @@
 // raw.FaultPlane at a handful of per-cycle choke points, each behind a
 // nil guard. This benchmark proves the guards are free in the common
 // case — BENCH_fault.json records the numbers against the pre-hook
-// baseline in BENCH_parallel.json (same benchmark body, same host).
+// baseline (same benchmark body, same host).
 package repro_test
 
 import (
@@ -18,15 +18,15 @@ import (
 )
 
 // BenchmarkFaultHookOverhead measures host ns per simulated router cycle
-// under full load, exactly like BenchmarkSimulatorCyclesPerSecond's
-// workers=1 leg, in three configurations:
+// under full load, exactly like BenchmarkSimulatorCyclesPerSecond,
+// in three configurations:
 //
 //	none            no fault plane installed (every hook nil-guarded out)
 //	empty-schedule  an Injector with zero events installed
 //	active          a live schedule (stall windows + DRAM spikes) in force
 //
 // "none" is the number BENCH_fault.json compares against the recorded
-// BENCH_parallel.json baseline (<1% is the acceptance bar); the other
+// pre-hook baseline (<1% is the acceptance bar); the other
 // legs bound what enabling injection costs.
 func BenchmarkFaultHookOverhead(b *testing.B) {
 	bench := func(sched *fault.Schedule) func(b *testing.B) {

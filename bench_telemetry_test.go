@@ -3,7 +3,7 @@
 // per quantum in the crossbar firmware. This benchmark proves the
 // disabled plane is free and bounds what arming it costs —
 // BENCH_telemetry.json records the numbers against the pre-telemetry
-// baseline in BENCH_parallel.json (same benchmark body, same host), and
+// baseline (same benchmark body, same host), and
 // scripts/bench_telemetry.sh regenerates the file and enforces the <1%
 // disabled-overhead bar.
 package repro_test
@@ -17,15 +17,15 @@ import (
 )
 
 // BenchmarkTelemetryOverhead measures host ns per simulated router cycle
-// under full load, exactly like BenchmarkSimulatorCyclesPerSecond's
-// workers=1 leg, in three configurations:
+// under full load, exactly like BenchmarkSimulatorCyclesPerSecond,
+// in three configurations:
 //
 //	off     cfg.Metrics == nil: every telemetry hook nil-guarded out
 //	on      collector armed (per-quantum sampling + flight recorder)
 //	export  snapshot assembly plus all three encoders, per op
 //
-// "off" is the number BENCH_telemetry.json compares against the recorded
-// BENCH_parallel.json workers=1 baseline (<1% is the acceptance bar);
+// "off" is the number BENCH_telemetry.json compares against the
+// pre-telemetry commit's sequential baseline (<1% is the acceptance bar);
 // "on" bounds the armed plane's cost; "export" prices the post-run
 // snapshot (it never sits on the simulation's hot path).
 func BenchmarkTelemetryOverhead(b *testing.B) {

@@ -13,7 +13,6 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -262,33 +261,19 @@ func BenchmarkLookupCompact(b *testing.B) {
 
 // BenchmarkSimulatorCyclesPerSecond measures the substrate itself: host
 // nanoseconds per simulated router cycle under full load (all 16 tiles,
-// both networks, caches active). Sub-benchmarks compare the sequential
-// engine against the parallel engine at NumCPU workers; both produce
-// bit-for-bit identical simulations, so the delta is pure host speed.
+// both networks, caches active), on the reference engine.
 func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
-	bench := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			r, err := core.New(core.Options{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := core.PermutationTraffic(1024, 1)
-			r.RunSaturated(5000, gen) // warm
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.RunSaturated(200, gen) // 200 simulated cycles per op
-			}
-			b.ReportMetric(200, "sim-cycles/op")
-		}
+	r, err := core.New(core.Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("workers=1", bench(1))
-	if n := runtime.NumCPU(); n > 1 {
-		b.Run(fmt.Sprintf("workers=%d", n), bench(n))
-	} else {
-		// Single-CPU host: still exercise the parallel engine so its
-		// synchronization overhead is visible in recorded numbers.
-		b.Run("workers=2", bench(2))
+	gen := core.PermutationTraffic(1024, 1)
+	r.RunSaturated(5000, gen) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.RunSaturated(200, gen) // 200 simulated cycles per op
 	}
+	b.ReportMetric(200, "sim-cycles/op")
 }
 
 // BenchmarkDelayVsLoad regenerates the latency-vs-offered-load curve of

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	fabsim [-full] [-workers 1] [-reprobe N] [-metrics FORMAT[:FILE]]
+//	fabsim [-full] [-engine fast|ref] [-reprobe N] [-metrics FORMAT[:FILE]]
 //	       [-topology ring|mesh|fattree] [-chips N] [-faults SCHED]
 //	       [-workload SPEC] [-recordtrace FILE]
 //	       [-exp all|background|ablation|fairness|qos|multicast|scale|scaleout|degraded|restore|telemetry|heavytail]
@@ -34,7 +34,7 @@
 // the run then also audits the end-to-end delivery ledger and prints
 // the healing summary. Example:
 //
-//	fabsim -topology mesh -chips 16 -engine fast -workers 4 -heal \
+//	fabsim -topology mesh -chips 16 -heal \
 //	       -faults 'killchip@20000:c5;killtrunk@30000:c1-c2;restorechip@60000:c5' -metrics prom
 package main
 
@@ -101,7 +101,6 @@ func run() int {
 	defer stopProf()
 	engine, _ := common.EngineChoice() // validated above
 	exp.SetEngine(engine)
-	exp.SetWorkers(common.Workers)
 	exp.SetReprobeQuanta(*reprobe)
 
 	q := exp.Quick
@@ -198,7 +197,6 @@ func run() int {
 func runFabric(spec cluster.Spec, common *cli.Common, engine raw.Engine, q exp.Quality) error {
 	cfg := cluster.Config{Topology: spec, Router: router.DefaultConfig(), Heal: common.HealConfig()}
 	cfg.Router.Engine = engine
-	cfg.Router.Workers = common.Workers
 	if cfg.Heal.Enabled {
 		if risk := spec.PartitionRisk(); risk != "" {
 			fmt.Fprintf(os.Stderr, "fabsim: warning: %s\n", risk)

@@ -6,7 +6,7 @@
 //	rawrouter [-size 1024] [-pattern perm|uniform|hotspot] [-cycles 200000]
 //	          [-warmup 80000] [-quantum 256] [-crypto] [-layout] [-seed 1]
 //	          [-workload SPEC] [-recordtrace FILE] [-recordslices N]
-//	          [-workers 1] [-faults SCHEDULE] [-faultseed N] [-watchdog]
+//	          [-engine fast|ref] [-faults SCHEDULE] [-faultseed N] [-watchdog]
 //	          [-autorestore] [-reprobe N] [-checkpoint FILE] [-restore FILE]
 //	          [-metrics FORMAT[:FILE]]
 //
@@ -33,7 +33,7 @@
 // as the run that wrote the blob, or the replay is rejected.
 // -metrics arms the telemetry plane and exports a snapshot after the
 // run in jsonl, csv, or prom (Prometheus text) format; exports are
-// bit-for-bit identical at any -workers count.
+// bit-for-bit identical under either -engine.
 package main
 
 import (
@@ -47,6 +47,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // main delegates to run so deferred cleanups (profile flush) execute
@@ -126,10 +127,16 @@ func run() int {
 	engine, _ := common.EngineChoice() // validated above
 
 	if sflags.Serve {
+		if kind, _, _ := sflags.FeedSpec(); kind == "synthetic" && !workloadGiven {
+			workload, err = traffic.Build(syntheticSpec(*pattern, *size, *seed, sflags.Rate))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "rawrouter:", err)
+				return 2
+			}
+		}
 		return runServe(&common, &sflags, serveParams{
-			size: *size, pattern: *pattern, quantum: *quantum, crypto: *crypto,
-			seed: *seed, watchdog: *watchdog, autoRestore: *autoRestore, reprobe: *reprobe,
-			workload: workload,
+			quantum: *quantum, crypto: *crypto, watchdog: *watchdog,
+			autoRestore: *autoRestore, reprobe: *reprobe, workload: workload,
 		})
 	}
 
@@ -150,7 +157,7 @@ func run() int {
 		rcfg.Metrics = telemetry.New(telemetry.Config{})
 	}
 	r, err := core.New(core.Options{QuantumWords: *quantum, Crypto: *crypto,
-		Workers: common.Workers, ChipEngine: engine, RouterConfig: &rcfg})
+		ChipEngine: engine, RouterConfig: &rcfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 1

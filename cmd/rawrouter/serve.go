@@ -23,17 +23,35 @@ import (
 
 // serveParams carries the batch flags the serve path shares.
 type serveParams struct {
-	size        int
-	pattern     string
 	quantum     int
 	crypto      bool
-	seed        uint64
 	watchdog    bool
 	autoRestore bool
 	reprobe     int
-	// workload is the compiled -workload spec; nil means the legacy
-	// -pattern/-size/-seed/-rate flags describe the synthetic feed.
+	// workload drives the synthetic feed: the -workload spec, or
+	// syntheticSpec's reading of the -pattern/-size/-seed/-rate flags.
+	// nil under -feed udp.
 	workload *traffic.Workload
+}
+
+// syntheticSpec maps the -pattern/-size/-seed/-rate flags onto the
+// workload spec the default synthetic feed runs. ratePerMille is the
+// offered load per port in words per 1000 cycles; 0 selects the spec
+// default (0.8 words/cycle), as does size 0 (1024 B). The daemon's
+// permutation is the offset-1 rotation.
+func syntheticSpec(pattern string, size int, seed uint64, ratePerMille int) traffic.Spec {
+	s := traffic.Spec{
+		Pattern: pattern,
+		Ports:   4,
+		Size:    size,
+		Seed:    seed,
+		Rate:    float64(ratePerMille) / 1000,
+	}
+	if pattern == "perm" || pattern == "permutation" {
+		s.Pattern = "permutation"
+		s.Params = map[string]float64{"offset": 1}
+	}
+	return s
 }
 
 // runServe runs the router as a daemon: live ingest, HTTP control plane,
@@ -50,10 +68,6 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 	}
 
 	feedKind, feedAddr, _ := sf.FeedSpec() // validated by ValidateServe
-	pattern := p.pattern
-	if pattern == "perm" {
-		pattern = "permutation"
-	}
 
 	// The control plane outlives daemon incarnations (the supervisor may
 	// build several); handlers route to the current one.
@@ -118,7 +132,7 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 		rcfg.Events = events
 		engine, _ := common.EngineChoice() // validated in run()
 		r, err := core.New(core.Options{QuantumWords: p.quantum, Crypto: p.crypto,
-			Workers: common.Workers, ChipEngine: engine, RouterConfig: &rcfg})
+			ChipEngine: engine, RouterConfig: &rcfg})
 		if err != nil {
 			return nil, err
 		}
@@ -134,14 +148,7 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 			fmt.Printf("serve: udp feed listening on %s\n", uf.Addr())
 			feeder = uf
 		default:
-			if p.workload != nil {
-				feeder, err = serve.NewWorkloadFeeder(p.workload, sf.SliceCycles)
-			} else {
-				feeder, err = serve.NewSyntheticFeeder(serve.SyntheticConfig{
-					Seed: p.seed, SizeBytes: p.size, Pattern: pattern,
-					RatePerMille: sf.Rate, SliceCycles: sf.SliceCycles,
-				})
-			}
+			feeder, err = serve.NewWorkloadFeeder(p.workload, sf.SliceCycles)
 			if err != nil {
 				return nil, err
 			}

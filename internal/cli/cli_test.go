@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/raw"
 )
 
 func parseWith(t *testing.T, args ...string) *Common {
@@ -94,15 +95,27 @@ func TestMetricsSinkParsing(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	// Out-of-range worker counts clamp in the engine; Validate passes them.
-	if err := parseWith(t, "-workers", "-1").Validate(); err != nil {
-		t.Errorf("negative -workers rejected (engine clamps): %v", err)
-	}
 	if err := parseWith(t, "-metrics", "bogus").Validate(); err == nil {
 		t.Error("bad -metrics accepted")
 	}
-	if err := parseWith(t, "-workers", "4", "-metrics", "csv:x.csv").Validate(); err != nil {
+	if err := parseWith(t, "-metrics", "csv:x.csv").Validate(); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
+	}
+}
+
+func TestEngineDefaultsToFast(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want raw.Engine
+	}{
+		{nil, raw.EngineFast},
+		{[]string{"-engine", "fast"}, raw.EngineFast},
+		{[]string{"-engine", "ref"}, raw.EngineRef},
+	} {
+		got, err := parseWith(t, tc.args...).EngineChoice()
+		if err != nil || got != tc.want {
+			t.Errorf("%v: engine = %v, %v; want %v", tc.args, got, err, tc.want)
+		}
 	}
 }
 

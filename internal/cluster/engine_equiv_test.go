@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"hash/fnv"
-	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,29 +12,18 @@ import (
 
 // Cross-engine conformance suite: every topology kind must step
 // bit-for-bit identically under the reference interpreter and the
-// compiled fast engine, at one worker and at host parallelism, with no
-// topology-specific carve-outs. Equality is checked three ways — the
+// compiled fast engine, with no topology-specific carve-outs. Equality is checked three ways — the
 // fabric Fingerprint (counters, lifecycle, trunk state), an FNV digest
 // of every word drained at every external port, and (for the engine
 // switch) the FABCKPT1 blob itself.
 
-// confWorkers is "host parallelism" for the suite: NumCPU, but at least
-// 2 so single-core CI machines still exercise the sharded path.
-func confWorkers() int {
-	if n := runtime.NumCPU(); n > 2 {
-		return n
-	}
-	return 2
-}
-
-// confRun drives spec for cycles cycles under the given engine/worker
-// pair with a deterministic all-pairs feed, folding every drained
-// output word into a digest. Returns (fingerprint, output digest).
-func confRun(t *testing.T, spec cluster.Spec, engine raw.Engine, workers int, cycles int64) (uint64, uint64) {
+// confRun drives spec for cycles cycles under the given engine with a
+// deterministic all-pairs feed, folding every drained output word into
+// a digest. Returns (fingerprint, output digest).
+func confRun(t *testing.T, spec cluster.Spec, engine raw.Engine, cycles int64) (uint64, uint64) {
 	t.Helper()
 	f := mustFabric(t, spec, func(c *cluster.Config) {
 		c.Router.Engine = engine
-		c.Router.Workers = workers
 	})
 	return driveConf(t, f, spec, cycles, 0)
 }
@@ -90,57 +78,36 @@ func driveConf(t *testing.T, f *cluster.Fabric, spec cluster.Spec, cycles int64,
 	return f.Fingerprint(), h.Sum64()
 }
 
-// TestEngineConformanceMatrix fingerprint-diffs ref@1 against fast@1
-// and fast@NumCPU on every topology kind.
+// TestEngineConformanceMatrix fingerprint-diffs ref against fast on
+// every topology kind.
 func TestEngineConformanceMatrix(t *testing.T) {
 	specs := []cluster.Spec{cluster.Ring(3), cluster.Mesh(2, 2), cluster.FatTree(2)}
 	for _, spec := range specs {
 		const cycles = 6000
-		refFP, refDig := confRun(t, spec, raw.EngineRef, 1, cycles)
-		cases := []struct {
-			name    string
-			engine  raw.Engine
-			workers int
-		}{
-			{"fast/w1", raw.EngineFast, 1},
-			{"fast/wN", raw.EngineFast, confWorkers()},
+		refFP, refDig := confRun(t, spec, raw.EngineRef, cycles)
+		fp, dig := confRun(t, spec, raw.EngineFast, cycles)
+		if fp != refFP {
+			t.Errorf("%s: fast fingerprint %#x != ref %#x", spec, fp, refFP)
 		}
-		for _, c := range cases {
-			fp, dig := confRun(t, spec, c.engine, c.workers, cycles)
-			if fp != refFP {
-				t.Errorf("%s: %s fingerprint %#x != ref/w1 %#x", spec, c.name, fp, refFP)
-			}
-			if dig != refDig {
-				t.Errorf("%s: %s output digest %#x != ref/w1 %#x", spec, c.name, dig, refDig)
-			}
+		if dig != refDig {
+			t.Errorf("%s: fast output digest %#x != ref %#x", spec, dig, refDig)
 		}
 	}
 }
 
 // TestMesh16ChipConformance is the acceptance-criteria case: the
-// 16-chip, 64-port mesh steps bit-for-bit identically across workers
-// {1, NumCPU} x engines {ref, fast}.
+// 16-chip, 64-port mesh steps bit-for-bit identically under the ref
+// and fast engines.
 func TestMesh16ChipConformance(t *testing.T) {
 	spec := cluster.Mesh(4, 4)
 	const cycles = 4000
-	refFP, refDig := confRun(t, spec, raw.EngineRef, 1, cycles)
-	cases := []struct {
-		name    string
-		engine  raw.Engine
-		workers int
-	}{
-		{"ref/wN", raw.EngineRef, confWorkers()},
-		{"fast/w1", raw.EngineFast, 1},
-		{"fast/wN", raw.EngineFast, confWorkers()},
+	refFP, refDig := confRun(t, spec, raw.EngineRef, cycles)
+	fp, dig := confRun(t, spec, raw.EngineFast, cycles)
+	if fp != refFP {
+		t.Errorf("mesh-4x4 fast: fingerprint %#x != ref %#x", fp, refFP)
 	}
-	for _, c := range cases {
-		fp, dig := confRun(t, spec, c.engine, c.workers, cycles)
-		if fp != refFP {
-			t.Errorf("mesh-4x4 %s: fingerprint %#x != ref/w1 %#x", c.name, fp, refFP)
-		}
-		if dig != refDig {
-			t.Errorf("mesh-4x4 %s: output digest %#x != ref/w1 %#x", c.name, dig, refDig)
-		}
+	if dig != refDig {
+		t.Errorf("mesh-4x4 fast: output digest %#x != ref %#x", dig, refDig)
 	}
 }
 

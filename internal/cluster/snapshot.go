@@ -252,14 +252,14 @@ func (f *Fabric) RestoreSnapshot(blob []byte) error {
 	}
 	for n := narq; n > 0 && rd.err == nil; n-- {
 		e := arqFrame{
-			trunk:   int(rd.u64()),
-			dir:     int(rd.u64()),
-			src:     int(rd.u64()),
-			port:    int(rd.u64()),
-			dstExt:  int(rd.u64()),
-			seq:     int64(rd.u64()),
+			trunk:    int(rd.u64()),
+			dir:      int(rd.u64()),
+			src:      int(rd.u64()),
+			port:     int(rd.u64()),
+			dstExt:   int(rd.u64()),
+			seq:      int64(rd.u64()),
 			attempts: int(rd.u64()),
-			nextTry: int64(rd.u64()),
+			nextTry:  int64(rd.u64()),
 		}
 		nw := rd.u64()
 		if nw > uint64(len(blob)) {

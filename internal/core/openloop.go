@@ -45,8 +45,8 @@ func WorkloadTraffic(w *traffic.Workload) (TrafficGen, error) {
 // in-flight work within drainBudget cycles. It returns the per-egress
 // delivered words over the run and whether the drain reached
 // quiescence. The arrival stream is a pure function of the process, so
-// two routers driven by equal processes produce identical ledgers at
-// any engine/worker setting.
+// two routers driven by equal processes produce identical ledgers on
+// either engine.
 func (r *Router) RunArrivals(proc traffic.Process, slices, drainBudget int64) ([]int64, bool) {
 	before := r.deliveredWords()
 	cyc := proc.SliceCycles()

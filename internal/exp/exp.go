@@ -34,26 +34,14 @@ var (
 	PaperClickGbps = 0.23
 )
 
-// workers is the host-parallelism degree applied to every cycle-level
-// router the harness builds; see SetWorkers.
-var workers int
-
-// SetWorkers makes every cycle-level router the harness constructs shard
-// its chip stepping across n host goroutines (threaded from the
-// -workers flags of cmd/reproduce and the root benchmarks). The parallel
-// engine is cycle-exact, so every regenerated table is identical at any
-// worker count; only wall time changes.
-func SetWorkers(n int) { workers = n }
-
 // chipEngine is the chip cycle engine applied to every cycle-level
 // router the harness builds; see SetEngine.
 var chipEngine raw.Engine
 
 // SetEngine makes every cycle-level router the harness constructs step
 // its chip with the given engine (threaded from the -engine flags of
-// cmd/reproduce and cmd/fabsim). Like SetWorkers, it cannot change any
-// regenerated number — the fast engine is bit-for-bit equivalent — only
-// wall time.
+// cmd/reproduce and cmd/fabsim). It cannot change any regenerated
+// number — the fast engine is bit-for-bit equivalent — only wall time.
 func SetEngine(e raw.Engine) { chipEngine = e }
 
 // Quality selects experiment duration.
@@ -94,7 +82,7 @@ func Figure71(q Quality, average bool) ([]Figure71Point, float64, *stats.Table) 
 	warm := cyclesFor(q, 80_000, 120_000)
 	var pts []Figure71Point
 	for i, size := range traffic.Sizes {
-		r, err := core.New(core.Options{Workers: workers, ChipEngine: chipEngine})
+		r, err := core.New(core.Options{ChipEngine: chipEngine})
 		if err != nil {
 			panic(err)
 		}
@@ -146,7 +134,6 @@ func Figure73(q Quality) (small, large *trace.Recorder, render string) {
 		rec := trace.NewRecorder(16, warm, warm+800)
 		cfg := router.DefaultConfig()
 		cfg.Tracer = rec
-		cfg.Workers = workers
 		cfg.Engine = chipEngine
 		r, err := router.New(cfg)
 		if err != nil {
@@ -405,7 +392,7 @@ func Scale8(q Quality) *stats.Table {
 // Headline checks the §7.2 headline: ≈3.3 Mpps and ≈26.9 Gbps at 1,024
 // bytes peak.
 func Headline(q Quality) (mpps, gbps float64) {
-	r, err := core.New(core.Options{Workers: workers, ChipEngine: chipEngine})
+	r, err := core.New(core.Options{ChipEngine: chipEngine})
 	if err != nil {
 		panic(err)
 	}
@@ -504,7 +491,6 @@ func McastCycle(q Quality) (amplification float64, tb *stats.Table) {
 	cfg := router.DefaultConfig()
 	cfg.Multicast = true
 	cfg.Groups = map[ip.Addr]uint8{ip.AddrFrom(224, 1, 1, 1): 0b1111}
-	cfg.Workers = workers
 	cfg.Engine = chipEngine
 	r, err := router.New(cfg)
 	if err != nil {
@@ -711,7 +697,7 @@ func QuantumAblation(q Quality) *stats.Table {
 		Headers: []string{"quantum (words)", "Gbps", "frags/pkt"},
 	}
 	for _, qw := range []int{64, 128, 256} {
-		r, err := core.New(core.Options{QuantumWords: qw, Workers: workers, ChipEngine: chipEngine})
+		r, err := core.New(core.Options{QuantumWords: qw, ChipEngine: chipEngine})
 		if err != nil {
 			panic(err)
 		}
@@ -753,7 +739,6 @@ func DegradedCrossbar(q Quality) (healthy, degraded []float64, tb *stats.Table) 
 	cycles := cyclesFor(q, 30_000, 120_000)
 	run := func(size, dead int) float64 {
 		cfg := router.DefaultConfig()
-		cfg.Workers = workers
 		cfg.Engine = chipEngine
 		r, err := router.New(cfg)
 		if err != nil {
@@ -820,7 +805,6 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 	window := cyclesFor(q, 40_000, 100_000)
 	run := func(size int, arc bool) float64 {
 		cfg := router.DefaultConfig()
-		cfg.Workers = workers
 		cfg.Engine = chipEngine
 		cfg.ReprobeQuanta = reprobeQuanta
 		r, err := router.New(cfg)
@@ -886,12 +870,11 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 // Telemetry exercises the telemetry plane end to end: a saturated
 // uniform workload with the per-quantum collector armed, reported
 // entirely from the exported snapshot (never from router internals).
-// Because sampling happens on the cycle-hook goroutine, the snapshot —
-// and therefore every number in the table — is bit-for-bit identical at
-// any worker count.
+// Because sampling happens on the cycle-hook goroutine between cycles,
+// the snapshot — and therefore every number in the table — is
+// bit-for-bit identical on either engine.
 func Telemetry(q Quality) (snap telemetry.Snapshot, tb *stats.Table) {
 	cfg := router.DefaultConfig()
-	cfg.Workers = workers
 	cfg.Engine = chipEngine
 	cfg.Metrics = telemetry.New(telemetry.Config{})
 	r, err := router.New(cfg)

@@ -1,12 +1,11 @@
 package exp
 
 // The traffic-plane acceptance test: one seeded heavy-tailed trace
-// drives the Raw router (both engines, workers 1 and NumCPU), the serve
+// drives the Raw router (both engines), the serve
 // daemon, and the Click baseline to the identical per-destination
 // delivered-word ledger — the ledger recorded in the trace itself.
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/click"
@@ -41,25 +40,24 @@ func TestTraceLedgerAcrossConsumers(t *testing.T) {
 	want := tr.DstWords()
 	replay := tr.Process(cyc)
 
-	// Raw router: both engines, serial and parallel stepping, driven
-	// once from the live process and once from the recorded trace.
+	// Raw router: both engines, each driven once from the live process
+	// and once from the recorded trace.
 	live, err := w.OpenLoop(cyc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	configs := []struct {
-		name    string
-		engine  raw.Engine
-		workers int
-		proc    traffic.Process
+		name   string
+		engine raw.Engine
+		proc   traffic.Process
 	}{
-		{"ref/w1/live", raw.EngineRef, 1, live},
-		{"ref/wN/trace", raw.EngineRef, runtime.NumCPU(), replay},
-		{"fast/w1/trace", raw.EngineFast, 1, replay},
-		{"fast/wN/live", raw.EngineFast, runtime.NumCPU(), live},
+		{"ref/live", raw.EngineRef, live},
+		{"ref/trace", raw.EngineRef, replay},
+		{"fast/trace", raw.EngineFast, replay},
+		{"fast/live", raw.EngineFast, live},
 	}
 	for _, cfg := range configs {
-		r, err := core.New(core.Options{Workers: cfg.workers, ChipEngine: cfg.engine})
+		r, err := core.New(core.Options{ChipEngine: cfg.engine})
 		if err != nil {
 			t.Fatal(err)
 		}

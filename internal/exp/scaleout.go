@@ -74,7 +74,6 @@ func scaleOutVictim(spec cluster.Spec) int {
 // sustained bandwidth.
 func scaleOutRun(spec cluster.Spec, rounds, mode int) (float64, float64) {
 	cfg := cluster.Config{Topology: spec, Router: router.DefaultConfig()}
-	cfg.Router.Workers = workers
 	cfg.Router.Engine = chipEngine
 	if mode == scaleOutHealed {
 		cfg.Heal = cluster.HealConfig{Enabled: true}

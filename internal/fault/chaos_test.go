@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -18,7 +17,7 @@ import (
 // asserting the three properties the robustness layer promises —
 // conservation (every offered packet is delivered or counted in exactly
 // one drop bucket), no duplication, and bit-for-bit replay of the whole
-// scenario at any worker count.
+// scenario.
 
 type chaosResult struct {
 	fp        uint64
@@ -30,15 +29,14 @@ type chaosResult struct {
 	sent      map[uint16]ip.Packet
 }
 
-// runChaos runs one full scenario: build a router on `workers` host
-// workers with the given cycle engine, install the schedule, feed seeded
+// runChaos runs one full scenario: build a router with the given cycle
+// engine, install the schedule, feed seeded
 // traffic for feedCycles, then drain for drainCycles and fingerprint
 // everything observable.
-func runChaos(t *testing.T, sched *fault.Schedule, watchdog bool, workers int, eng raw.Engine,
+func runChaos(t *testing.T, sched *fault.Schedule, watchdog bool, eng raw.Engine,
 	trafficSeed uint64, feedCycles, drainCycles int) *chaosResult {
 	t.Helper()
 	cfg := router.DefaultConfig()
-	cfg.Workers = workers
 	cfg.Engine = eng
 	if watchdog {
 		cfg.Watchdog = true
@@ -83,7 +81,7 @@ func runChaos(t *testing.T, sched *fault.Schedule, watchdog bool, workers int, e
 		fmt.Fprintf(h, " out%d=%d q%d=%d", p, r.OutputWords(p), p, r.Quanta(p))
 		pkts, err := r.DrainOutput(p)
 		if err != nil {
-			t.Fatalf("workers=%d: output %d corrupt: %v", workers, p, err)
+			t.Fatalf("%v: output %d corrupt: %v", eng, p, err)
 		}
 		for _, pk := range pkts {
 			fmt.Fprintf(h, " %d:%d:%d", p, pk.Header.ID, pk.Header.TotalLen)
@@ -121,7 +119,7 @@ func TestChaosRecoverableFaults(t *testing.T) {
 			Horizon: 10000, MaxStalls: 6, MaxFlaps: 3, MaxFreezes: 2,
 			MaxDRAM: 2, MaxStallCycles: 1200,
 		})
-		res := runChaos(t, sched, false, 1, raw.EngineRef, seed+100, 15000, 60000)
+		res := runChaos(t, sched, false, raw.EngineRef, seed+100, 15000, 60000)
 		if int64(len(res.delivered)) != res.offered {
 			t.Fatalf("seed %d (%q): delivered %d of %d offered; stats %+v",
 				seed, sched, len(res.delivered), res.offered, res.stats)
@@ -138,34 +136,25 @@ func TestChaosRecoverableFaults(t *testing.T) {
 	}
 }
 
-// TestChaosReplayBitForBit: one randomized scenario, three runs — twice
-// sequential, once on every host core — must produce identical
-// fingerprints over stats, output words, quanta, and delivered payloads.
+// TestChaosReplayBitForBit: one randomized scenario run twice must
+// produce identical fingerprints over stats, output words, quanta, and
+// delivered payloads.
 func TestChaosReplayBitForBit(t *testing.T) {
 	sched := fault.Random(7, fault.RandomOptions{
 		Horizon: 8000, MaxStalls: 5, MaxFlaps: 2, MaxFreezes: 1,
 		MaxDRAM: 2, MaxStallCycles: 1000,
 	})
-	a := runChaos(t, sched, false, 1, raw.EngineRef, 42, 12000, 50000)
-	b := runChaos(t, sched, false, 1, raw.EngineRef, 42, 12000, 50000)
+	a := runChaos(t, sched, false, raw.EngineRef, 42, 12000, 50000)
+	b := runChaos(t, sched, false, raw.EngineRef, 42, 12000, 50000)
 	if a.fp != b.fp {
 		t.Fatalf("same-seed replay diverged: %x vs %x", a.fp, b.fp)
-	}
-	nc := runtime.NumCPU()
-	if nc < 2 {
-		nc = 2
-	}
-	c := runChaos(t, sched, false, nc, raw.EngineRef, 42, 12000, 50000)
-	if a.fp != c.fp {
-		t.Fatalf("parallel engine (workers=%d) diverged from sequential: %x vs %x", nc, a.fp, c.fp)
 	}
 }
 
 // TestChaosCrashDegrade: a crossbar crash buried in recoverable noise.
 // The watchdog must attribute it, the fabric must degrade (not halt),
 // conservation must hold at the fabric boundary, and the whole scenario
-// — including the watchdog's firing cycle — must replay bit-for-bit
-// sequentially and in parallel.
+// — including the watchdog's firing cycle — must replay bit-for-bit.
 func TestChaosCrashDegrade(t *testing.T) {
 	noise := fault.Random(5, fault.RandomOptions{
 		Horizon: 8000, MaxStalls: 4, MaxFlaps: 2, MaxFreezes: 0,
@@ -174,10 +163,10 @@ func TestChaosCrashDegrade(t *testing.T) {
 	sched := &fault.Schedule{Events: append(noise.Events,
 		fault.MustParse("crash@5000:t10").Events...)}
 
-	run := func(workers int) *chaosResult {
-		return runChaos(t, sched, true, workers, raw.EngineRef, 9, 18000, 70000)
+	run := func() *chaosResult {
+		return runChaos(t, sched, true, raw.EngineRef, 9, 18000, 70000)
 	}
-	a := run(1)
+	a := run()
 	if a.dead != 2 { // tile 10 is port 2's crossbar
 		t.Fatalf("dead port %d (failed=%v), want 2; stats %+v", a.dead, a.failed, a.stats)
 	}
@@ -198,17 +187,9 @@ func TestChaosCrashDegrade(t *testing.T) {
 		t.Fatal("surviving ports forwarded nothing")
 	}
 
-	b := run(1)
+	b := run()
 	if a.fp != b.fp {
 		t.Fatalf("crash scenario replay diverged: %x vs %x", a.fp, b.fp)
-	}
-	nc := runtime.NumCPU()
-	if nc < 2 {
-		nc = 2
-	}
-	c := run(nc)
-	if a.fp != c.fp {
-		t.Fatalf("crash scenario parallel (workers=%d) diverged: %x vs %x", nc, a.fp, c.fp)
 	}
 }
 
@@ -217,7 +198,7 @@ func TestChaosCrashDegrade(t *testing.T) {
 // counted once in Stats.Dropped; a payload flip must deliver (exactly
 // that bit wrong); a whole packet lost at the pins simply never enters
 // the accounting. Everything else is delivered intact, and the scenario
-// replays bit-for-bit at any worker count.
+// replays bit-for-bit.
 func TestChaosCorruptionAndPinDrops(t *testing.T) {
 	const pktWords = 64 // 256-byte packets
 	// Port 0's line enters tile 4 from the west; port 2's enters tile 11
@@ -228,10 +209,8 @@ func TestChaosCorruptionAndPinDrops(t *testing.T) {
 			"drop:t11.e.w320+64") // port 2 packet 5, dropped whole at the pins
 
 	const perPort = 12
-	run := func(workers int) (*chaosResult, *router.Router) {
-		cfg := router.DefaultConfig()
-		cfg.Workers = workers
-		r, err := router.New(cfg)
+	run := func() (*chaosResult, *router.Router) {
+		r, err := router.New(router.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +235,7 @@ func TestChaosCorruptionAndPinDrops(t *testing.T) {
 		for p := 0; p < 4; p++ {
 			pkts, err := r.DrainOutput(p)
 			if err != nil {
-				t.Fatalf("workers=%d output %d: %v", workers, p, err)
+				t.Fatalf("output %d: %v", p, err)
 			}
 			for _, pk := range pkts {
 				fmt.Fprintf(h, " %d:%d", p, pk.Header.ID)
@@ -268,7 +247,7 @@ func TestChaosCorruptionAndPinDrops(t *testing.T) {
 		return res, r
 	}
 
-	a, _ := run(1)
+	a, _ := run()
 	if got := a.stats.Dropped[0]; got != 1 {
 		t.Fatalf("Dropped[0] = %d, want 1 (header corruption); stats %+v", got, a.stats)
 	}
@@ -293,17 +272,9 @@ func TestChaosCorruptionAndPinDrops(t *testing.T) {
 		}
 	}
 
-	b, _ := run(1)
+	b, _ := run()
 	if a.fp != b.fp {
 		t.Fatalf("replay diverged: %x vs %x", a.fp, b.fp)
-	}
-	nc := runtime.NumCPU()
-	if nc < 2 {
-		nc = 2
-	}
-	c, _ := run(nc)
-	if a.fp != c.fp {
-		t.Fatalf("parallel run diverged: %x vs %x", a.fp, c.fp)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -15,17 +14,16 @@ import (
 )
 
 // runTelemetryChaos runs one faulted scenario with the telemetry plane
-// armed on `workers` host workers and returns the exported snapshot.
+// armed and returns the exported snapshot.
 // The schedule includes line flaps, so the flight recorder sees real
 // recovery events, not just steady-state quanta.
-func runTelemetryChaos(t *testing.T, workers int) telemetry.Snapshot {
+func runTelemetryChaos(t *testing.T) telemetry.Snapshot {
 	t.Helper()
 	sched := fault.Random(11, fault.RandomOptions{
 		Horizon: 8000, MaxStalls: 5, MaxFlaps: 2, MaxFreezes: 1,
 		MaxDRAM: 2, MaxStallCycles: 1000,
 	})
 	cfg := router.DefaultConfig()
-	cfg.Workers = workers
 	cfg.Metrics = telemetry.New(telemetry.Config{})
 	r, err := router.New(cfg)
 	if err != nil {
@@ -52,34 +50,30 @@ func runTelemetryChaos(t *testing.T, workers int) telemetry.Snapshot {
 }
 
 // TestTelemetryExportBitForBit is the acceptance gate for the telemetry
-// plane's determinism: the same faulted scenario run sequentially and on
-// every host core must export byte-identical jsonl, csv, and Prometheus
-// text. Sampling happens on the cycle-hook goroutine with the workers
-// parked, so nothing about the snapshot may depend on host parallelism.
+// plane's determinism: the same faulted scenario run twice must export
+// byte-identical jsonl, csv, and Prometheus text. Sampling happens on
+// the simulation goroutine between cycles, so nothing about the
+// snapshot may depend on host timing.
 func TestTelemetryExportBitForBit(t *testing.T) {
-	a := runTelemetryChaos(t, 1)
+	a := runTelemetryChaos(t)
 	if a.Quanta == 0 {
 		t.Fatal("collector sampled no quanta")
 	}
 	if len(a.Recent) == 0 {
 		t.Fatal("flight recorder is empty")
 	}
-	nc := runtime.NumCPU()
-	if nc < 2 {
-		nc = 2
-	}
-	b := runTelemetryChaos(t, nc)
+	b := runTelemetryChaos(t)
 	for _, format := range telemetry.Formats() {
 		ea, err := a.Encode(format)
 		if err != nil {
-			t.Fatalf("encode %s (workers=1): %v", format, err)
+			t.Fatalf("encode %s (first run): %v", format, err)
 		}
 		eb, err := b.Encode(format)
 		if err != nil {
-			t.Fatalf("encode %s (workers=%d): %v", format, nc, err)
+			t.Fatalf("encode %s (replay): %v", format, err)
 		}
 		if !bytes.Equal(ea, eb) {
-			t.Errorf("%s export differs between workers=1 and workers=%d", format, nc)
+			t.Errorf("%s export differs between two identical runs", format)
 		}
 	}
 }

@@ -76,8 +76,8 @@ func genProgram(data []byte) string {
 func FuzzInterp(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{4, 5, 6, 7, 5, 1, 2, 3})           // send then recv
-	f.Add([]byte{10, 0, 0, 0, 12, 0, 0, 0})         // jmp loop over nop
+	f.Add([]byte{4, 5, 6, 7, 5, 1, 2, 3})             // send then recv
+	f.Add([]byte{10, 0, 0, 0, 12, 0, 0, 0})           // jmp loop over nop
 	f.Add([]byte{6, 1, 2, 3, 7, 2, 3, 4, 8, 1, 1, 0}) // lw/sw/beq
 	f.Add([]byte{2, 3, 0, 40, 11, 0, 0, 1, 9, 4, 5, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {

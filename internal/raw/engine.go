@@ -62,8 +62,8 @@ func (c *Chip) Engine() Engine { return c.engine }
 // invalidateFast marks the fast engine's derived state (queue bindings,
 // compiled-program attachments, the idle-tile skip list) stale. It is
 // called by every reconfiguration entry point — reprogramming, firmware
-// swaps, device attachment, fault installation, worker changes — and the
-// next fast Step rebuilds. Cheap enough to call unconditionally.
+// swaps, device attachment, fault installation — and the next fast Step
+// rebuilds. Cheap enough to call unconditionally.
 func (c *Chip) invalidateFast() { c.feDirty = true }
 
 // ensureFast returns the fast engine's derived state, rebuilding it if a

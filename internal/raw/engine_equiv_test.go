@@ -7,7 +7,6 @@
 package raw_test
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -15,19 +14,17 @@ import (
 )
 
 // runEngine rebuilds a workload and runs it to completion under the
-// given engine and worker count, returning its fingerprint.
-func runEngine(build func(int64) *workloadRun, cycles int64, eng raw.Engine, workers int) string {
+// given engine, returning the run and its fingerprint.
+func runEngine(build func(int64) *workloadRun, cycles int64, eng raw.Engine) (*workloadRun, string) {
 	r := build(cycles)
 	r.chip.SetEngine(eng)
-	r.chip.SetWorkers(workers)
 	r.run(cycles)
-	return fingerprint(r)
+	return r, fingerprint(r)
 }
 
 // TestFastEngineMatchesReference diffs the full observable outcome of
-// the three parallel-engine workloads (dynamic traffic, cache misses
-// through the memory network, static multicast) between the engines, at
-// one worker and at NumCPU workers.
+// the three shared workloads (dynamic traffic, cache misses through the
+// memory network, static multicast) between the engines.
 func TestFastEngineMatchesReference(t *testing.T) {
 	const cycles = 3000
 	builders := map[string]func(int64) *workloadRun{
@@ -36,13 +33,16 @@ func TestFastEngineMatchesReference(t *testing.T) {
 		"multicast": buildMulticast,
 	}
 	for name, build := range builders {
-		want := runEngine(build, cycles, raw.EngineRef, 1)
-		for _, workers := range []int{1, runtime.NumCPU()} {
-			got := runEngine(build, cycles, raw.EngineFast, workers)
-			if got != want {
-				t.Fatalf("%s: fast engine (workers=%d) diverged from reference\n%s",
-					name, workers, firstDiff(want, got))
-			}
+		ref, want := runEngine(build, cycles, raw.EngineRef)
+		var progress raw.Word
+		for _, d := range ref.digest {
+			progress |= d
+		}
+		if progress == 0 {
+			t.Fatalf("workload %s moved no data; the equivalence check would be vacuous", name)
+		}
+		if _, got := runEngine(build, cycles, raw.EngineFast); got != want {
+			t.Fatalf("%s: fast engine diverged from reference\n%s", name, firstDiff(want, got))
 		}
 	}
 }
@@ -52,7 +52,7 @@ func TestFastEngineMatchesReference(t *testing.T) {
 // simulated state with identical transition functions.
 func TestEngineSwitchMidRun(t *testing.T) {
 	const cycles = 2000
-	want := runEngine(buildUniform, cycles, raw.EngineRef, 1)
+	_, want := runEngine(buildUniform, cycles, raw.EngineRef)
 	r := buildUniform(cycles)
 	eng := raw.EngineRef
 	for c := int64(0); c < cycles; c += driveStep {
@@ -232,15 +232,13 @@ func TestFastEngineCheckpointCrossRestore(t *testing.T) {
 		return chip
 	}
 	for _, dir := range []struct {
-		name       string
-		from, to   raw.Engine
-		fromW, toW int
+		name     string
+		from, to raw.Engine
 	}{
-		{"fast->ref", raw.EngineFast, raw.EngineRef, 1, runtime.NumCPU()},
-		{"ref->fast", raw.EngineRef, raw.EngineFast, runtime.NumCPU(), 1},
+		{"fast->ref", raw.EngineFast, raw.EngineRef},
+		{"ref->fast", raw.EngineRef, raw.EngineFast},
 	} {
 		src := build(dir.from)
-		src.SetWorkers(dir.fromW)
 		for y := 0; y < 3; y++ {
 			in := src.StaticIn(src.TileAt(0, y).ID(), raw.DirW)
 			for i := 0; i < 900; i++ {
@@ -253,7 +251,6 @@ func TestFastEngineCheckpointCrossRestore(t *testing.T) {
 			t.Fatalf("%s: snapshot: %v", dir.name, err)
 		}
 		dst := build(dir.to)
-		dst.SetWorkers(dir.toW)
 		if err := dst.RestoreSnapshot(blob); err != nil {
 			t.Fatalf("%s: cross-engine restore rejected: %v", dir.name, err)
 		}

@@ -9,8 +9,8 @@ package raw
 // read-only with respect to state shared across tiles: BeginCycle runs
 // once per cycle on the main goroutine before any tile steps, and is the
 // only place the plane may mutate global state. TileFrozen and
-// LinkStalled may be called concurrently from worker goroutines and must
-// be pure reads of state settled in BeginCycle. CorruptPop and
+// LinkStalled must be pure reads of state settled in BeginCycle, so the
+// order tiles step in cannot change their answers. CorruptPop and
 // DropEdgeWord may keep per-link mutable state: each static link has
 // exactly one popping tile and edge pushes happen between cycles, so a
 // per-(tile,dir,net) counter has a single writer.

@@ -437,9 +437,6 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	c.cycle += k
 	c.macroWindows++
 	c.macroCycles += k
-	if c.acct != nil {
-		c.acct.AddCycles(k)
-	}
 	return k, 0
 }
 

@@ -18,10 +18,11 @@ import (
 // geometry, the cycle count, the input log, and a state digest;
 // RestoreSnapshot replays the log into a freshly constructed identical
 // chip and verifies the digest, leaving the chip bit-for-bit in the
-// checkpointed state — at any worker count, since parallel stepping is
-// sequentially equivalent. Verified state includes every bounded FIFO,
-// edge FIFO, switch, and processor counter the digest covers; replay
-// correctness itself comes from determinism, the digest is the tripwire.
+// checkpointed state — under either engine, since the fast engine is
+// bit-for-bit equivalent to the reference. Verified state includes every
+// bounded FIFO, edge FIFO, switch, and processor counter the digest
+// covers; replay correctness itself comes from determinism, the digest
+// is the tripwire.
 
 const rawSnapMagic = "RAWCKPT1"
 

@@ -1,22 +1,19 @@
-// Equivalence tests for the parallel two-phase engine: a chip stepped
-// with N workers must be bit-for-bit identical to the sequential engine.
-// Three seeded workloads exercise the dynamic networks (uniform and
-// hotspot message traffic plus cache misses through the memory network)
-// and both static networks (multicast fanout from an edge input), and the
-// full observable state — tile state counts, switch counters, cache
+// Seeded chip workloads shared by the engine equivalence tests. Three
+// workloads exercise the dynamic networks (uniform and hotspot message
+// traffic plus cache misses through the memory network) and both static
+// networks (multicast fanout from an edge input); fingerprint renders
+// the full observable state — tile state counts, switch counters, cache
 // counters, firmware digests, edge outputs with timestamps, and the
-// per-cycle trace — is diffed against the sequential run.
+// per-cycle trace — so two runs can be diffed line by line.
 package raw_test
 
 import (
 	"fmt"
 	"strings"
-	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/raw"
 	"repro/internal/raw/asm"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -88,7 +85,7 @@ func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
 	for i := 0; i < len(w) && i < len(g); i++ {
 		if w[i] != g[i] {
-			return fmt.Sprintf("line %d:\n  sequential: %s\n  parallel:   %s", i+1, w[i], g[i])
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, w[i], g[i])
 		}
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(w), len(g))
@@ -192,7 +189,7 @@ func buildMulticast(cycles int64) *workloadRun {
 		if err := chip.Tile(x).SetSwitchProgramOn(0, fanout); err != nil {
 			panic(err)
 		}
-		if err := chip.Tile(4 + x).SetSwitchProgramOn(1, fanout); err != nil {
+		if err := chip.Tile(4+x).SetSwitchProgramOn(1, fanout); err != nil {
 			panic(err)
 		}
 		id0, id1 := x, 4+x
@@ -217,100 +214,4 @@ func buildMulticast(cycles int64) *workloadRun {
 		}
 	}
 	return r
-}
-
-// TestParallelMatchesSequential checks the headline guarantee of the
-// parallel engine: for every workload and every worker count, the full
-// fingerprint equals the sequential run's.
-func TestParallelMatchesSequential(t *testing.T) {
-	const cycles = 2000
-	workloads := []struct {
-		name  string
-		build func(cycles int64) *workloadRun
-	}{
-		{"uniform", buildUniform},
-		{"hotspot", buildHotspot},
-		{"multicast", buildMulticast},
-	}
-	for _, wl := range workloads {
-		wl := wl
-		t.Run(wl.name, func(t *testing.T) {
-			ref := wl.build(cycles)
-			ref.run(cycles)
-			var progress raw.Word
-			for _, d := range ref.digest {
-				progress |= d
-			}
-			if progress == 0 {
-				t.Fatalf("workload %s moved no data; the equivalence check would be vacuous", wl.name)
-			}
-			want := fingerprint(ref)
-			for _, workers := range []int{1, 2, 4, 8} {
-				workers := workers
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					r := wl.build(cycles)
-					r.chip.SetWorkers(workers)
-					if got := r.chip.Workers(); got != workers {
-						t.Fatalf("SetWorkers(%d): Workers() = %d", workers, got)
-					}
-					defer r.chip.SetWorkers(1) // stop the pool goroutines
-					r.run(cycles)
-					if got := fingerprint(r); got != want {
-						t.Errorf("workers=%d diverges from sequential at %s", workers, firstDiff(want, got))
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestSetWorkersMidRun re-shards the same chip between cycle batches —
-// sequential to pool to differently-sized pool and back — and requires the
-// final state to match an uninterrupted sequential run.
-func TestSetWorkersMidRun(t *testing.T) {
-	const cycles = 2000
-	ref := buildUniform(cycles)
-	ref.run(cycles)
-	want := fingerprint(ref)
-
-	r := buildUniform(cycles)
-	defer r.chip.SetWorkers(1)
-	schedule := []int{1, 4, 2, 8, 1}
-	for c := int64(0); c < cycles; c += driveStep {
-		r.chip.SetWorkers(schedule[int(c/driveStep)%len(schedule)])
-		if r.drive != nil {
-			r.drive(c)
-		}
-		r.chip.Run(driveStep)
-	}
-	if got := fingerprint(r); got != want {
-		t.Errorf("re-sharding mid-run diverges at %s", firstDiff(want, got))
-	}
-}
-
-// TestWorkerStatsAccounting sanity-checks the per-worker phase accounting:
-// cycles covered match the run and every worker logged nonzero time.
-func TestWorkerStatsAccounting(t *testing.T) {
-	const cycles = 500
-	r := buildUniform(cycles)
-	r.chip.SetWorkers(4)
-	defer r.chip.SetWorkers(1)
-	r.chip.EnableWorkerStats()
-	r.run(cycles)
-	acct := r.chip.WorkerStats()
-	if acct.Cycles() != cycles {
-		t.Errorf("accounted cycles = %d, want %d", acct.Cycles(), cycles)
-	}
-	if acct.Workers() != 4 {
-		t.Errorf("accounted workers = %d, want 4", acct.Workers())
-	}
-	for w := 0; w < 4; w++ {
-		var total int64
-		for ph := range stats.PhaseNames {
-			total += acct.PhaseNs(w, ph)
-		}
-		if total == 0 {
-			t.Errorf("worker %d logged no time", w)
-		}
-	}
 }

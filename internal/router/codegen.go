@@ -236,11 +236,11 @@ type IngressProgram struct {
 	Prog     []raw.SwInstr
 	Compiled *raw.CompiledProgram
 	Acquire  raw.Word // read 5 IP header words, consult lookup
-	Drop    raw.Word // drain a packet's payload to the processor (drop, or multicast buffering)
-	Quantum raw.Word // header out, grant in
-	Stream1 raw.Word // first fragment: 5 header words from P, payload cut-through, padding from P
-	Stream2 raw.Word // later fragment: payload cut-through, padding from P
-	StreamP raw.Word // whole stream from the processor (multicast replay, §8.6)
+	Drop     raw.Word // drain a packet's payload to the processor (drop, or multicast buffering)
+	Quantum  raw.Word // header out, grant in
+	Stream1  raw.Word // first fragment: 5 header words from P, payload cut-through, padding from P
+	Stream2  raw.Word // later fragment: payload cut-through, padding from P
+	StreamP  raw.Word // whole stream from the processor (multicast replay, §8.6)
 }
 
 // GenIngressProgram generates port p's ingress switch program.
@@ -311,10 +311,10 @@ type EgressProgram struct {
 	Prog     []raw.SwInstr
 	Compiled *raw.CompiledProgram
 	Hdr      raw.Word // one egress header word to P
-	Cut     raw.Word // complete packet cut-through to the pin + padding to P
-	Asm     raw.Word // whole stream to P (reassembly path)
-	Out     raw.Word // reassembled packet from P to the pin
-	Forward raw.Word // crypto path: stream from P to the pin and padding drain (§8.3)
+	Cut      raw.Word // complete packet cut-through to the pin + padding to P
+	Asm      raw.Word // whole stream to P (reassembly path)
+	Out      raw.Word // reassembled packet from P to the pin
+	Forward  raw.Word // crypto path: stream from P to the pin and padding drain (§8.3)
 }
 
 // GenEgressProgram generates port p's egress switch program.

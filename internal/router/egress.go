@@ -18,7 +18,7 @@ type egressFW struct {
 	// sched is the compiled cycle-cost schedule (shared by all four
 	// egress instances, surviving degrade/restore/park); phase indexes
 	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles (workers parked).
+	// macro-stepper between cycles.
 	sched *FWSchedule
 	phase int
 

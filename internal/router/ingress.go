@@ -21,7 +21,7 @@ type ingressFW struct {
 	// sched is the compiled cycle-cost schedule (shared by all four
 	// ingress instances, surviving degrade/restore/park); phase indexes
 	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles (workers parked).
+	// macro-stepper between cycles.
 	sched *FWSchedule
 	phase int
 
@@ -68,7 +68,7 @@ type ingressFW struct {
 	// probes so far (backoff exponent); reprobeNow forces a probe (set
 	// between cycles by a scheduled reprobe control). rng is the
 	// per-port xorshift64* jitter state — firmware-owned, so the backoff
-	// schedule replays bit-for-bit at any worker count.
+	// schedule replays bit-for-bit.
 	probeMark  int64
 	reprobeIn  int
 	reprobeAtt int

@@ -43,7 +43,7 @@ type lookupFW struct {
 	// sched is the compiled cycle-cost schedule (shared by all four
 	// lookup instances, surviving degrade/restore/park); phase indexes
 	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles (workers parked).
+	// macro-stepper between cycles.
 	sched *FWSchedule
 	phase int
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"runtime"
 	"testing"
 
 	"repro/internal/ip"
@@ -22,7 +21,7 @@ import (
 // merely "fast didn't diverge while falling back to per-cycle"), and
 // with them engaged every simulation-visible output — counters, event
 // log, telemetry exports, delivered payload bytes — is bit-identical to
-// the reference interpreter at any worker count.
+// the reference interpreter.
 
 // macroRun is one engine's observation of the shared load schedule.
 type macroRun struct {
@@ -46,10 +45,9 @@ func normalizeStats(s router.StatsSnapshot) router.StatsSnapshot {
 // headline workload — for 20k cycles with events and telemetry armed,
 // drains the fabric dry, and captures everything an outside observer
 // can see.
-func runMacroLoad(t *testing.T, workers int, eng raw.Engine) macroRun {
+func runMacroLoad(t *testing.T, eng raw.Engine) macroRun {
 	t.Helper()
 	cfg := router.DefaultConfig()
-	cfg.Workers = workers
 	cfg.Engine = eng
 	cfg.Events = &trace.EventLog{}
 	cfg.Metrics = telemetry.New(telemetry.Config{})
@@ -106,43 +104,37 @@ func runMacroLoad(t *testing.T, workers int, eng raw.Engine) macroRun {
 // macro-step the loaded router (windows > 0 with events AND telemetry
 // armed — the observation planes bound windows, they must not disarm
 // them) and still match the reference interpreter bit-for-bit on every
-// simulation-visible output, at workers 1 and NumCPU.
+// simulation-visible output.
 func TestMacroEngagementEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro engagement matrix skipped in -short")
 	}
-	ref := runMacroLoad(t, 1, raw.EngineRef)
+	ref := runMacroLoad(t, raw.EngineRef)
 	if ref.windows != 0 || ref.cycles != 0 {
 		t.Fatalf("reference engine reported macro stats: windows=%d cycles=%d", ref.windows, ref.cycles)
 	}
-	nc := runtime.NumCPU()
-	if nc < 2 {
-		nc = 2
+	fast := runMacroLoad(t, raw.EngineFast)
+	if fast.windows == 0 || fast.cycles == 0 {
+		t.Fatalf("macro never engaged on the loaded router: windows=%d cycles=%d",
+			fast.windows, fast.cycles)
 	}
-	for _, workers := range []int{1, nc} {
-		fast := runMacroLoad(t, workers, raw.EngineFast)
-		if fast.windows == 0 || fast.cycles == 0 {
-			t.Fatalf("workers=%d: macro never engaged on the loaded router: windows=%d cycles=%d",
-				workers, fast.windows, fast.cycles)
-		}
-		if fast.stats != ref.stats {
-			t.Fatalf("workers=%d: stats diverged:\nfast %+v\nref  %+v", workers, fast.stats, ref.stats)
-		}
-		if fast.events != ref.events {
-			t.Fatalf("workers=%d: event logs diverged:\nfast:\n%s\nref:\n%s", workers, fast.events, ref.events)
-		}
-		if fast.digest != ref.digest {
-			t.Fatalf("workers=%d: delivered payload bytes diverged", workers)
-		}
-		for _, format := range telemetry.Formats() {
-			if !bytes.Equal(fast.exports[format], ref.exports[format]) {
-				t.Errorf("workers=%d: %s telemetry export differs between engines", workers, format)
-			}
-		}
-		t.Logf("workers=%d: macro windows=%d cycles=%d (%.1f%% of %d cycles)",
-			workers, fast.windows, fast.cycles,
-			100*float64(fast.cycles)/float64(fast.stats.Cycle), fast.stats.Cycle)
+	if fast.stats != ref.stats {
+		t.Fatalf("stats diverged:\nfast %+v\nref  %+v", fast.stats, ref.stats)
 	}
+	if fast.events != ref.events {
+		t.Fatalf("event logs diverged:\nfast:\n%s\nref:\n%s", fast.events, ref.events)
+	}
+	if fast.digest != ref.digest {
+		t.Fatal("delivered payload bytes diverged")
+	}
+	for _, format := range telemetry.Formats() {
+		if !bytes.Equal(fast.exports[format], ref.exports[format]) {
+			t.Errorf("%s telemetry export differs between engines", format)
+		}
+	}
+	t.Logf("macro windows=%d cycles=%d (%.1f%% of %d cycles)",
+		fast.windows, fast.cycles,
+		100*float64(fast.cycles)/float64(fast.stats.Cycle), fast.stats.Cycle)
 }
 
 // watchdogArc drives the watchdog through a full arm → degrade →

@@ -73,7 +73,7 @@ func (r *Router) ScheduleReprobe(cycle int64, port int) {
 
 // Tick implements raw.StepHook: the router is the chip's single
 // observation hook. It runs between cycles on the simulation's main
-// goroutine (workers parked), so it may read firmware state and
+// goroutine, so it may read firmware state and
 // reconfigure tiles without racing. Everything here is a few nil checks
 // per cycle against sixteen tile steps — and on the fast engine the
 // cycles between NextDue boundaries may be covered by macro windows, so

@@ -84,10 +84,9 @@ func (w *watchdog) noteDegrade(dead int, cycle int64) {
 
 // tick runs on the simulation's main goroutine between cycles (via the
 // router's step-hook dispatcher, Router.Tick), so it may read firmware
-// state and reconfigure tiles without racing workers. Both phases of the
-// check read only quantum counters and heartbeat sums — quantities the
-// fast engine's macro restore advances exactly as per-cycle stepping
-// would (a window of K cycles adds K to a blocked tile's state counts
+// state and reconfigure tiles. Both phases of the check read only
+// quantum counters and heartbeat sums — quantities the fast engine's
+// macro restore advances exactly as per-cycle stepping would (a window of K cycles adds K to a blocked tile's state counts
 // and leaves quantum counters alone, since boundaries are never
 // covered) — and both run only on check-mask cycles, which the router's
 // NextDue keeps individually stepped. The watchdog therefore observes

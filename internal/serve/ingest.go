@@ -8,8 +8,8 @@
 // The daemon keeps the simulation's determinism discipline: everything
 // that touches simulator state runs on one goroutine (the slice loop);
 // HTTP handlers communicate through a control channel serviced between
-// slices plus an atomically published immutable Status. With the
-// deterministic synthetic feeder, a serve run is a pure function of its
+// slices plus an atomically published immutable Status. With a
+// deterministic WorkloadFeeder, a serve run is a pure function of its
 // configuration — it can be checkpointed mid-flight and restored
 // bit-for-bit, which is what makes /drain a live-migration primitive.
 package serve
@@ -76,85 +76,6 @@ func (f *WorkloadFeeder) Slice(s int64) [4][]ip.Packet {
 // Close is a no-op for the in-process feeder.
 func (f *WorkloadFeeder) Close() error { return nil }
 
-// SyntheticConfig parameterizes the deterministic in-process feeder.
-//
-// Deprecated: describe the workload with a traffic.Spec and use
-// NewWorkloadFeeder; this config maps onto one.
-type SyntheticConfig struct {
-	// Seed drives every random draw (destinations, address salts).
-	Seed uint64
-	// SizeBytes is the on-wire packet size (default 1024, the paper's
-	// steady-state size).
-	SizeBytes int
-	// Pattern is "uniform", "permutation", or "hotspot" (§7.2-§7.4).
-	Pattern string
-	// RatePerMille is the offered load per port in words per 1000 cycles
-	// (1000 = one word per cycle, the line rate; default 800).
-	RatePerMille int
-	// SliceCycles is the daemon's slice length; the feeder needs it to
-	// convert the rate into per-slice packet budgets.
-	SliceCycles int64
-}
-
-// Spec translates the legacy config into the declarative workload spec
-// it is equivalent to.
-func (cfg SyntheticConfig) Spec() traffic.Spec {
-	s := traffic.Spec{
-		Pattern: cfg.Pattern,
-		Ports:   4,
-		Size:    cfg.SizeBytes,
-		Seed:    cfg.Seed,
-		Rate:    float64(cfg.RatePerMille) / 1000,
-	}
-	switch cfg.Pattern {
-	case "":
-		s.Pattern = "uniform"
-	case "permutation":
-		// The daemon's historical permutation is the offset-1 rotation.
-		s.Params = map[string]float64{"offset": 1}
-	}
-	return s
-}
-
-// SyntheticFeeder is the legacy deterministic feeder, now a thin shim
-// over WorkloadFeeder: the config compiles to a traffic.Spec and the
-// arrivals come from the workload's rate-paced open-loop process.
-//
-// Deprecated: use NewWorkloadFeeder with a traffic.Spec.
-type SyntheticFeeder struct {
-	WorkloadFeeder
-}
-
-// NewSyntheticFeeder validates the config and builds the feeder.
-//
-// Deprecated: use NewWorkloadFeeder with a traffic.Spec.
-func NewSyntheticFeeder(cfg SyntheticConfig) (*SyntheticFeeder, error) {
-	if cfg.SizeBytes == 0 {
-		cfg.SizeBytes = 1024
-	}
-	if cfg.SizeBytes < ip.HeaderBytes {
-		return nil, fmt.Errorf("serve: packet size %dB below the %dB header", cfg.SizeBytes, ip.HeaderBytes)
-	}
-	if cfg.RatePerMille == 0 {
-		cfg.RatePerMille = 800
-	}
-	if cfg.RatePerMille < 0 {
-		return nil, fmt.Errorf("serve: negative feed rate %d", cfg.RatePerMille)
-	}
-	if cfg.SliceCycles <= 0 {
-		return nil, fmt.Errorf("serve: synthetic feeder needs a positive slice length")
-	}
-	w, err := traffic.Build(cfg.Spec())
-	if err != nil {
-		return nil, fmt.Errorf("serve: feed config: %w", err)
-	}
-	wf, err := NewWorkloadFeeder(w, cfg.SliceCycles)
-	if err != nil {
-		return nil, err
-	}
-	return &SyntheticFeeder{WorkloadFeeder: *wf}, nil
-}
-
 // UDPFeeder is the live-socket shim: one datagram is one packet. The
 // first payload byte selects the ingress port (low two bits) and the
 // second the destination port (low two bits; missing bytes default to
@@ -163,7 +84,7 @@ func NewSyntheticFeeder(cfg SyntheticConfig) (*SyntheticFeeder, error) {
 // queue the slice loop drains at slice boundaries, so socket timing
 // never touches simulator state mid-slice. A UDP-fed run is not
 // deterministic (arrival slices depend on wall-clock interleaving) —
-// use the synthetic feeder for runs that must replay.
+// use a WorkloadFeeder for runs that must replay.
 type UDPFeeder struct {
 	conn *net.UDPConn
 

@@ -4,22 +4,31 @@ import (
 	"testing"
 
 	"repro/internal/ip"
+	"repro/internal/traffic"
 )
 
-// TestSyntheticFeederPure: arrivals for a slice are a pure function of
-// (config, slice) — two feeders with the same config agree packet for
+// workloadFeeder compiles spec into a feeder on sliceCycles-cycle slices.
+func workloadFeeder(t *testing.T, spec traffic.Spec, sliceCycles int64) *WorkloadFeeder {
+	t.Helper()
+	w, err := traffic.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewWorkloadFeeder(w, sliceCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestWorkloadFeederPure: arrivals for a slice are a pure function of
+// (spec, slice) — two feeders with the same spec agree packet for
 // packet, which is what lets a restored daemon resume the identical
 // stream.
-func TestSyntheticFeederPure(t *testing.T) {
-	cfg := SyntheticConfig{Seed: 9, SizeBytes: 512, Pattern: "hotspot", RatePerMille: 700, SliceCycles: 1024}
-	a, err := NewSyntheticFeeder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSyntheticFeeder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestWorkloadFeederPure(t *testing.T) {
+	spec := traffic.Spec{Pattern: "hotspot", Ports: 4, Size: 512, Seed: 9, Rate: 0.7}
+	a := workloadFeeder(t, spec, 1024)
+	b := workloadFeeder(t, spec, 1024)
 	// Read b out of order (as a restore resuming mid-run would).
 	want37 := b.Slice(37)
 	for s := int64(0); s < 40; s++ {
@@ -41,14 +50,12 @@ func TestSyntheticFeederPure(t *testing.T) {
 	}
 }
 
-// TestSyntheticFeederRate: the fixed-point accumulator delivers the
+// TestWorkloadFeederRate: the rate-paced process delivers the
 // configured rate exactly over any horizon (no drift), per port.
-func TestSyntheticFeederRate(t *testing.T) {
-	cfg := SyntheticConfig{Seed: 1, SizeBytes: 1024, RatePerMille: 800, SliceCycles: 4096}
-	f, err := NewSyntheticFeeder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestWorkloadFeederRate(t *testing.T) {
+	const sliceCycles, ratePerMille = 4096, 800
+	spec := traffic.Spec{Pattern: "uniform", Ports: 4, Size: 1024, Seed: 1, Rate: ratePerMille / 1000.0}
+	f := workloadFeeder(t, spec, sliceCycles)
 	const slices = 64
 	var words int64
 	for s := int64(0); s < slices; s++ {
@@ -59,8 +66,8 @@ func TestSyntheticFeederRate(t *testing.T) {
 		}
 	}
 	perPort := words / 4
-	budget := slices * cfg.SliceCycles * int64(cfg.RatePerMille) / 1000
-	probe := ip.NewPacket(0, 0, 64, cfg.SizeBytes, 0)
+	budget := int64(slices * sliceCycles * ratePerMille / 1000)
+	probe := ip.NewPacket(0, 0, 64, spec.Size, 0)
 	wordsPkt := int64(probe.LenWords())
 	if perPort > budget || budget-perPort >= wordsPkt {
 		t.Fatalf("per-port words %d, budget %d (residue must stay under one %d-word packet)",

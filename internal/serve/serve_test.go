@@ -17,6 +17,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // newTestRouter builds a cycle router the way the rawrouter serve path
@@ -34,15 +35,14 @@ func newTestRouter(t *testing.T, mod func(*router.Config)) *router.Router {
 	return r.Cycle()
 }
 
-func testFeeder(t *testing.T, rate int) *SyntheticFeeder {
+// testFeeder is the daemon tests' deterministic feed: seeded uniform
+// 1,024-byte traffic at rate words per 1000 cycles per port, on
+// 1024-cycle slices.
+func testFeeder(t *testing.T, rate int) *WorkloadFeeder {
 	t.Helper()
-	f, err := NewSyntheticFeeder(SyntheticConfig{
-		Seed: 5, SizeBytes: 1024, Pattern: "uniform", RatePerMille: rate, SliceCycles: 1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return workloadFeeder(t, traffic.Spec{
+		Pattern: "uniform", Ports: 4, Size: 1024, Seed: 5, Rate: float64(rate) / 1000,
+	}, 1024)
 }
 
 // TestDaemonServesAndDrains: the basic lifecycle — serve MaxSlices
@@ -144,12 +144,7 @@ func TestDrainCheckpointResume(t *testing.T) {
 // against a tiny admission queue must shed (counted) while the cycle
 // loop keeps advancing and the ledger identity holds.
 func TestOverloadShedsNotStalls(t *testing.T) {
-	f, err := NewSyntheticFeeder(SyntheticConfig{
-		Seed: 5, SizeBytes: 1024, RatePerMille: 4000, SliceCycles: 1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := testFeeder(t, 4000)
 	d, err := New(Config{
 		Router:      newTestRouter(t, nil),
 		Feeder:      f,

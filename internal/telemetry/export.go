@@ -11,7 +11,7 @@ import (
 // fixed field order (struct-tag order for JSONL, literal headers for CSV,
 // sorted-by-construction series for Prometheus), shortest-float
 // formatting, no timestamps, no host identity. Two runs that simulate
-// the same cycles produce byte-identical exports at any worker count.
+// the same cycles produce byte-identical exports on either engine.
 
 // Formats lists the supported export format names.
 func Formats() []string { return []string{"jsonl", "csv", "prom"} }

@@ -128,7 +128,7 @@ func TestPrometheusShape(t *testing.T) {
 
 // TestExportDeterminism renders the same logical snapshot twice via
 // independently built collectors and demands byte-identical output in
-// every format — the property the workers-1-vs-NumCPU test in
+// every format — the property TestTelemetryExportBitForBit in
 // internal/fault extends to full simulations.
 func TestExportDeterminism(t *testing.T) {
 	a, b := sampleSnapshot(), sampleSnapshot()

@@ -12,7 +12,7 @@ import (
 // no single chip can see — per-trunk per-direction word conservation,
 // bisection-bandwidth utilization, and the chip-lifecycle event log.
 // Like Snapshot, a FabricSnapshot is immutable and its exports are
-// byte-identical at any worker count and under either cycle engine.
+// byte-identical under either cycle engine.
 
 // TrunkDirSample is one direction of one trunk: conservation counters
 // (Drained == Delivered + Dropped + Retrans + Held at any instant) plus

@@ -29,8 +29,8 @@
 // the histograms are fixed arrays.
 //
 // Determinism: the collector is fed only from the simulation's main
-// goroutine (the router's cycle hook, workers parked) with values that
-// are bit-for-bit identical at any worker count, so every export is too.
+// goroutine (the router's cycle hook, between cycles) with values that
+// are bit-for-bit identical on either engine, so every export is too.
 package telemetry
 
 import "repro/internal/trace"

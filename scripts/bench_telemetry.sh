@@ -112,7 +112,7 @@ END {
 	printf "  \"notes\": [\n" >> out
 	printf "    \"Acceptance bar: with cfg.Metrics == nil the telemetry hooks (one nil check per cycle in the control hook, one per quantum in the crossbar firmware) must cost <%s%% versus the pre-telemetry commit. PRE and CUR legs alternate in the same session; each round is scored as the ratio of its adjacent legs and the gate takes the minimum over %s rounds, so load bursts (which inflate whole rounds) are discarded while a real hook cost (which inflates every ratio) cannot hide.\",\n", gate_pct, rounds >> out
 	printf "    \"The armed plane (on) and the exporters (export) are recorded for reference only: arming is opt-in via Config.Metrics / the -metrics flag, and snapshot export runs after the simulation, never on its hot path.\",\n" >> out
-	printf "    \"Exports are bit-for-bit identical at any worker count (TestTelemetryExportBitForBit); this file records wall-clock only.\"\n" >> out
+	printf "    \"Exports are bit-for-bit identical across identical runs (TestTelemetryExportBitForBit); this file records wall-clock only.\"\n" >> out
 	printf "  ]\n}\n" >> out
 	printf "disabled overhead: best paired round off/pre = %.4f -> %+.2f%% (bar %s%%)\n", minratio, overhead, gate_pct
 	if (overhead > gate_pct + 0) {
