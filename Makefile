@@ -1,9 +1,12 @@
 # Verification tiers (see ROADMAP.md).
 #
 #   tier1  - build + unit/equivalence tests (the gate every change must pass)
-#   tier2  - static analysis (vet + gofmt over the tracked Go files) and
+#   tier2  - static analysis (vet + gofmt over the tracked Go files),
 #            the full suite under the race detector (guards the serve
-#            daemon's HTTP handlers and telemetry scraper goroutines)
+#            daemon's HTTP handlers and telemetry scraper goroutines),
+#            and the reproduce golden gate: `reproduce -quick` minus its
+#            timing lines must match cmd/reproduce/testdata/quick.golden
+#            (refresh one-liner in scripts/reproduce_golden.sh)
 #   chaos  - the fault-injection chaos harness under the race detector
 #            (fixed seed matrix; conservation + bit-for-bit replay)
 #   soak   - the 20-seed degrade->restore chaos matrix under the race
@@ -39,11 +42,12 @@
 #            through a latched degrade + SLO violation, /drain to a
 #            checkpoint, and restore it twice to byte-identical
 #            continuations; plus the in-process serve suite under -race
+#   loc    - the non-test Go line count ROADMAP tracks (perfbench excluded)
 
 GO ?= go
 SOAK_SEEDS ?= 20
 
-.PHONY: all tier1 tier2 chaos soak soak-heal fuzz bench bench-telemetry bench-engine bench-fault bench-traffic serve-smoke ci
+.PHONY: all tier1 tier2 chaos soak soak-heal fuzz bench bench-telemetry bench-engine bench-fault bench-traffic serve-smoke loc ci
 
 all: tier1
 
@@ -55,6 +59,7 @@ tier2:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) test -race ./...
+	sh scripts/reproduce_golden.sh
 
 chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/fault
@@ -94,5 +99,8 @@ bench-traffic:
 serve-smoke:
 	$(GO) test -race ./internal/serve ./internal/cli
 	sh scripts/serve_smoke.sh
+
+loc:
+	git ls-files '*.go' ':!:*_test.go' ':!:perfbench/**' | xargs cat | wc -l
 
 ci: tier1 tier2 chaos soak soak-heal bench-telemetry bench-engine bench-fault bench-traffic serve-smoke

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/raw"
+	"repro/internal/router"
 )
 
 // streamEngineChip programs every tile of a 4x4 chip as a west->east
@@ -77,7 +78,9 @@ func BenchmarkEngine(b *testing.B) {
 	// non-zero on the fast leg.
 	router := func(eng raw.Engine) func(*testing.B) {
 		return func(b *testing.B) {
-			r, err := core.New(core.Options{ChipEngine: eng})
+			cfg := router.DefaultConfig()
+			cfg.Engine = eng
+			r, err := core.NewCycle(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

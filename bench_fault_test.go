@@ -31,7 +31,7 @@ import (
 func BenchmarkFaultHookOverhead(b *testing.B) {
 	bench := func(sched *fault.Schedule) func(b *testing.B) {
 		return func(b *testing.B) {
-			r, err := core.New(core.Options{})
+			r, err := core.NewCycle(router.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}

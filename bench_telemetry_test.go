@@ -35,7 +35,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			if metrics {
 				rcfg.Metrics = telemetry.New(telemetry.Config{})
 			}
-			r, err := core.New(core.Options{RouterConfig: &rcfg})
+			r, err := core.NewCycle(rcfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("export", func(b *testing.B) {
 		rcfg := router.DefaultConfig()
 		rcfg.Metrics = telemetry.New(telemetry.Config{})
-		r, err := core.New(core.Options{RouterConfig: &rcfg})
+		r, err := core.NewCycle(rcfg)
 		if err != nil {
 			b.Fatal(err)
 		}

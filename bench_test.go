@@ -22,6 +22,7 @@ import (
 	"repro/internal/raw"
 	"repro/internal/raw/asm"
 	"repro/internal/rotor"
+	"repro/internal/router"
 	"repro/internal/traffic"
 )
 
@@ -263,7 +264,7 @@ func BenchmarkLookupCompact(b *testing.B) {
 // nanoseconds per simulated router cycle under full load (all 16 tiles,
 // both networks, caches active), on the reference engine.
 func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
-	r, err := core.New(core.Options{})
+	r, err := core.NewCycle(router.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/router"
 	"repro/internal/traffic"
 )
 
@@ -52,7 +53,7 @@ func BenchmarkTrafficPlane(b *testing.B) {
 	})
 
 	b.Run("step", func(b *testing.B) {
-		r, err := core.New(core.Options{})
+		r, err := core.NewCycle(router.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

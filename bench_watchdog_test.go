@@ -33,7 +33,7 @@ func BenchmarkWatchdogOverhead(b *testing.B) {
 		return func(b *testing.B) {
 			cfg := router.DefaultConfig()
 			mut(&cfg)
-			r, err := core.New(core.Options{RouterConfig: &cfg})
+			r, err := core.NewCycle(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

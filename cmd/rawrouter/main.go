@@ -124,7 +124,6 @@ func run() int {
 		return 2
 	}
 	defer stopProf()
-	engine, _ := common.EngineChoice() // validated above
 
 	if sflags.Serve {
 		if kind, _, _ := sflags.FeedSpec(); kind == "synthetic" && !workloadGiven {
@@ -142,6 +141,7 @@ func run() int {
 
 	var rec *trace.Recorder
 	rcfg := router.DefaultConfig()
+	rcfg.Engine, _ = common.EngineChoice() // validated above
 	rcfg.QuantumWords = *quantum
 	rcfg.Crypto = *crypto
 	rcfg.Watchdog = *watchdog
@@ -156,8 +156,7 @@ func run() int {
 	if sink != nil {
 		rcfg.Metrics = telemetry.New(telemetry.Config{})
 	}
-	r, err := core.New(core.Options{QuantumWords: *quantum, Crypto: *crypto,
-		ChipEngine: engine, RouterConfig: &rcfg})
+	r, err := core.NewCycle(rcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 1

@@ -122,6 +122,7 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 		events := &trace.EventLog{}
 
 		rcfg := router.DefaultConfig()
+		rcfg.Engine, _ = common.EngineChoice() // validated in run()
 		rcfg.QuantumWords = p.quantum
 		rcfg.Crypto = p.crypto
 		rcfg.Watchdog = p.watchdog
@@ -130,9 +131,7 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 		rcfg.Checkpoint = common.Checkpoint != "" || common.Restore != ""
 		rcfg.Metrics = collector
 		rcfg.Events = events
-		engine, _ := common.EngineChoice() // validated in run()
-		r, err := core.New(core.Options{QuantumWords: p.quantum, Crypto: p.crypto,
-			ChipEngine: engine, RouterConfig: &rcfg})
+		r, err := core.NewCycle(rcfg)
 		if err != nil {
 			return nil, err
 		}

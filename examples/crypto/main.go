@@ -18,7 +18,9 @@ func main() {
 	const key = 0xfeedface
 
 	run := func(crypto bool) (float64, *core.Router) {
-		r, err := core.New(core.Options{Crypto: crypto, CryptoKey: key})
+		cfg := router.DefaultConfig()
+		cfg.Crypto, cfg.CryptoKey = crypto, key
+		r, err := core.NewCycle(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,7 +37,9 @@ func main() {
 	fmt.Println(" the thesis's fix — spreading the cipher across crossbar tiles — is future work there too)")
 
 	// Demonstrate the transform end to end on a fresh router.
-	fresh, err := core.New(core.Options{Crypto: true, CryptoKey: key})
+	cfg := router.DefaultConfig()
+	cfg.Crypto, cfg.CryptoKey = true, key
+	fresh, err := core.NewCycle(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 
 	cfg := router.DefaultConfig()
 	cfg.Table = table
-	r, err := core.New(core.Options{RouterConfig: &cfg})
+	r, err := core.NewCycle(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,9 +5,9 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/core"
+	"repro/internal/rotor"
 	"repro/internal/stats"
 )
 
@@ -18,13 +18,9 @@ func main() {
 		Headers: []string{"weight of port 0", "port0", "port1", "port2", "port3"},
 	}
 	for _, w := range []int{1, 2, 3, 5} {
-		r, err := core.New(core.Options{
-			Engine:  core.EngineFabric,
-			Weights: []int{w, 1, 1, 1},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg := rotor.DefaultFabricConfig()
+		cfg.Weights = []int{w, 1, 1, 1}
+		r := core.NewFabric(cfg)
 		res := r.RunMeasured(100_000, 1_000_000, func(port int) core.Packet {
 			return core.Packet{Dst: 2, SizeBytes: 256}
 		})

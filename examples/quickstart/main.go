@@ -8,10 +8,11 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/router"
 )
 
 func main() {
-	r, err := core.New(core.Options{})
+	r, err := core.NewCycle(router.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

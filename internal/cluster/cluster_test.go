@@ -4,38 +4,51 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/ip"
-	"repro/internal/router"
 	"repro/internal/traffic"
 )
 
-func mustCluster(t *testing.T) *cluster.TwoChip {
-	t.Helper()
-	c, err := cluster.NewTwoChip(router.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+// The §8.5 two-chip composition is a 2-chip ring: externals 0,1 live on
+// chip 0 and 2,3 on chip 1, and the two trunk links join chip 0's ports
+// 2,3 to chip 1's.
+
+// ringTrunkWords returns the words a Ring(2) fabric carried from chip 0
+// to chip 1 and back, summed over both trunk links.
+func ringTrunkWords(f *cluster.Fabric) (aToB, bToA int64) {
+	for ti, t := range f.Spec().Trunks() {
+		d := 0 // direction leaving chip 0
+		if t.A != 0 {
+			d = 1
+		}
+		ab, _, _, _, _ := f.TrunkCounters(ti, d)
+		ba, _, _, _, _ := f.TrunkCounters(ti, 1-d)
+		aToB += ab
+		bToA += ba
 	}
-	return c
+	return aToB, bToA
 }
 
-// TestCrossChipPacket routes a packet from chip A's port 0 to chip B's
-// port 3 (cluster numbering), across the trunk: two lookups, two crossbar
+// delivered reports whether external port e has delivered n packets.
+func delivered(f *cluster.Fabric, e int, n int64) bool {
+	chip, local := f.Spec().ExtPort(e)
+	return f.Chip(chip).Stats().PktsOut[local] >= n
+}
+
+// TestCrossChipPacket routes a packet from chip 0's port 0 to chip 1's
+// port 1 (external 3), across the trunk: two lookups, two crossbar
 // traversals, two TTL decrements.
 func TestCrossChipPacket(t *testing.T) {
-	c := mustCluster(t)
+	f := mustFabric(t, cluster.Ring(2), nil)
 	pkt := ip.NewPacket(traffic.PortAddr(0, 1), traffic.PortAddr(3, 7), 64, 256, 42)
-	c.OfferPacket(0, &pkt)
-	delivered := func() bool {
-		out := c.B.Stats().PktsOut[1] // cluster port 3 = chip B local 1
-		return out >= 1
+	f.OfferPacket(0, &pkt)
+	for i := 0; i < 600 && !delivered(f, 3, 1); i++ {
+		f.Run(100)
 	}
-	for i := 0; i < 600 && !delivered(); i++ {
-		c.Run(100)
+	if !delivered(f, 3, 1) {
+		t.Fatalf("cross-chip packet never delivered; chip0=%+v chip1=%+v", f.Chip(0).Stats(), f.Chip(1).Stats())
 	}
-	if !delivered() {
-		t.Fatalf("cross-chip packet never delivered; A=%+v B=%+v", c.A.Stats(), c.B.Stats())
-	}
-	out, err := c.DrainOutput(3)
+	out, err := f.DrainOutput(3)
 	if err != nil || len(out) != 1 {
 		t.Fatalf("out=%d err=%v", len(out), err)
 	}
@@ -47,50 +60,24 @@ func TestCrossChipPacket(t *testing.T) {
 			t.Fatalf("payload word %d corrupted crossing the trunk", i)
 		}
 	}
-	if c.TrunkWords[0] == 0 {
-		t.Fatal("no words crossed the A->B trunk")
+	if aToB, _ := ringTrunkWords(f); aToB == 0 {
+		t.Fatal("no words crossed the chip 0 -> chip 1 trunk")
 	}
 }
 
 // TestLocalPacketStaysOnChip: a same-chip packet never touches the trunk.
 func TestLocalPacketStaysOnChip(t *testing.T) {
-	c := mustCluster(t)
+	f := mustFabric(t, cluster.Ring(2), nil)
 	pkt := ip.NewPacket(traffic.PortAddr(0, 1), traffic.PortAddr(1, 7), 64, 128, 5)
-	c.OfferPacket(0, &pkt)
-	for i := 0; i < 200 && c.A.Stats().PktsOut[1] == 0; i++ {
-		c.Run(100)
+	f.OfferPacket(0, &pkt)
+	for i := 0; i < 200 && !delivered(f, 1, 1); i++ {
+		f.Run(100)
 	}
-	if c.A.Stats().PktsOut[1] != 1 {
-		t.Fatalf("local packet not delivered; %+v", c.A.Stats())
+	if got := f.Chip(0).Stats().PktsOut[1]; got != 1 {
+		t.Fatalf("local packet not delivered (%d out); %+v", got, f.Chip(0).Stats())
 	}
-	if c.TrunkWords[0] != 0 || c.TrunkWords[1] != 0 {
-		t.Fatalf("local packet crossed the trunk: %v", c.TrunkWords)
-	}
-}
-
-// TestAllClusterPairs routes one packet between every external pair.
-func TestAllClusterPairs(t *testing.T) {
-	for src := 0; src < 4; src++ {
-		for dst := 0; dst < 4; dst++ {
-			if src == dst {
-				continue
-			}
-			c := mustCluster(t)
-			pkt := ip.NewPacket(traffic.PortAddr(src, 1), traffic.PortAddr(dst, 9), 64, 128, 7)
-			c.OfferPacket(src, &pkt)
-			ok := false
-			for i := 0; i < 600 && !ok; i++ {
-				c.Run(100)
-				out, err := c.DrainOutput(dst)
-				if err != nil {
-					t.Fatalf("%d->%d: %v", src, dst, err)
-				}
-				ok = len(out) == 1
-			}
-			if !ok {
-				t.Fatalf("%d->%d never delivered", src, dst)
-			}
-		}
+	if aToB, bToA := ringTrunkWords(f); aToB != 0 || bToA != 0 {
+		t.Fatalf("local packet crossed the trunk: %d/%d words", aToB, bToA)
 	}
 }
 
@@ -101,27 +88,18 @@ func TestAllClusterPairs(t *testing.T) {
 // the glueless-composition trade the thesis sketches.
 func TestTrunkScaling(t *testing.T) {
 	measure := func(remote bool) float64 {
-		c := mustCluster(t)
+		f := mustFabric(t, cluster.Ring(2), nil)
 		id := uint16(0)
-		feed := func() {
-			for p := 0; p < 4; p++ {
-				for c.InputBacklogWords(p) < 4096 {
-					id++
-					// Local pairs: 0<->1, 2<->3. Remote: 0->2, 1->3, 2->0, 3->1.
-					dst := p ^ 1
-					if remote {
-						dst = (p + 2) % 4
-					}
-					pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)), traffic.PortAddr(dst, uint32(id)), 64, 1024, id)
-					c.OfferPacket(p, &pkt)
-				}
+		core.Saturate(f, 80_000, core.Ports(4), func(p int) ip.Packet {
+			id++
+			// Local pairs: 0<->1, 2<->3. Remote: 0->2, 1->3, 2->0, 3->1.
+			dst := p ^ 1
+			if remote {
+				dst = (p + 2) % 4
 			}
-		}
-		for i := 0; i < 400; i++ {
-			feed()
-			c.Run(200)
-		}
-		return float64(c.ExternalWordsOut()*4*8) / (float64(c.Cycle()) / 250e6) / 1e9
+			return ip.NewPacket(traffic.PortAddr(p, uint32(id)), traffic.PortAddr(dst, uint32(id)), 64, 1024, id)
+		})
+		return float64(f.ExternalWordsOut()*4*8) / (float64(f.Cycle()) / 250e6) / 1e9
 	}
 	local := measure(false)
 	remote := measure(true)
@@ -134,21 +112,13 @@ func TestTrunkScaling(t *testing.T) {
 
 	// Latency: one packet, local vs cross-chip.
 	lat := func(dst int) int64 {
-		c := mustCluster(t)
+		f := mustFabric(t, cluster.Ring(2), nil)
 		pkt := ip.NewPacket(traffic.PortAddr(0, 1), traffic.PortAddr(dst, 7), 64, 1024, 9)
-		c.OfferPacket(0, &pkt)
-		chip, local := 0, 1
-		if dst >= 2 {
-			chip, local = 1, dst-2
-		}
+		f.OfferPacket(0, &pkt)
 		for i := 0; i < 600; i++ {
-			c.Run(50)
-			r := c.A
-			if chip == 1 {
-				r = c.B
-			}
-			if r.Stats().PktsOut[local] >= 1 {
-				return c.Cycle()
+			f.Run(50)
+			if delivered(f, dst, 1) {
+				return f.Cycle()
 			}
 		}
 		t.Fatalf("latency probe to %d never delivered", dst)

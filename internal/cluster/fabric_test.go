@@ -52,7 +52,7 @@ func TestFabricConfigRejects(t *testing.T) {
 
 // TestFabricAllPairs routes one packet between every external pair of
 // every small topology and checks payload integrity plus trunk
-// conservation — the N-chip generalization of TestAllClusterPairs.
+// conservation.
 func TestFabricAllPairs(t *testing.T) {
 	for _, spec := range smallSpecs() {
 		f := mustFabric(t, spec, nil)

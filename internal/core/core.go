@@ -2,26 +2,24 @@
 // router on the Raw tiled architecture, runnable at two fidelity levels
 // that share one allocation algorithm (internal/rotor):
 //
-//   - EngineCycle: the full cycle-level router of the paper — sixteen
+//   - NewCycle: the full cycle-level router of the paper — sixteen
 //     simulated Raw tiles, generated static-switch programs, IP
 //     validation, lookup in simulated DRAM (internal/router). Use it to
 //     reproduce the paper's measured numbers.
-//   - EngineFabric: a quantum-stepped model of just the switch fabric.
+//   - NewFabric: a quantum-stepped model of just the switch fabric.
 //     Use it for property studies, load sweeps, QoS/multicast/scaling
 //     experiments, or whenever a million quanta per second matter more
 //     than per-cycle truth.
 //
 // A minimal session:
 //
-//	r, _ := core.New(core.Options{})
+//	r, _ := core.NewCycle(router.DefaultConfig())
 //	r.Offer(0, core.Packet{Dst: 2, SizeBytes: 1024})
 //	res := r.RunSaturated(100_000, core.UniformTraffic(1024, 1))
 //	fmt.Println(res.Gbps, res.Mpps)
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/ip"
 	"repro/internal/raw"
 	"repro/internal/rotor"
@@ -29,47 +27,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
-
-// Engine selects the fidelity level.
-type Engine int
-
-// The two engines.
-const (
-	EngineCycle Engine = iota
-	EngineFabric
-)
-
-// Options configures a router.
-type Options struct {
-	// Engine defaults to EngineCycle.
-	Engine Engine
-	// ClockHz defaults to the Raw prototype's 250 MHz.
-	ClockHz float64
-	// QuantumWords defaults to 256 (one 1,024-byte packet per quantum).
-	QuantumWords int
-	// Crypto enables the §8.3 computation-in-fabric payload cipher
-	// (cycle engine only).
-	Crypto    bool
-	CryptoKey uint32
-	// Weights, if set, are per-port token dwell counts for weighted
-	// round-robin QoS (§8.7), honored by both engines.
-	Weights []int
-	// SecondNetwork adds the second static network (§5.3 ablation;
-	// fabric engine only).
-	SecondNetwork bool
-	// Ports is the port count; the cycle engine supports exactly 4.
-	Ports int
-	// RouterConfig overrides the full cycle-engine configuration; zero
-	// value uses defaults derived from the fields above.
-	RouterConfig *router.Config
-	// ChipEngine selects the cycle engine's chip stepping strategy:
-	// raw.EngineRef (the reference interpreter, the zero value) or
-	// raw.EngineFast (compiled route tables). It is purely a host
-	// performance knob — results are bit-for-bit identical — and it
-	// is ignored by the fabric engine. (Engine above picks the fidelity
-	// level; ChipEngine picks how the cycle-true level is executed.)
-	ChipEngine raw.Engine
-}
 
 // Packet is a routing request at the facade level.
 type Packet struct {
@@ -92,63 +49,32 @@ type Results struct {
 	PerPort     []int64 // packets delivered per egress
 	Denied      int64   // quanta lost to arbitration (offered load shed)
 	ClockHz     float64
-	Engine      Engine
 	Reassembled int64
 }
 
 // Router is the façade over both engines.
 type Router struct {
-	opt Options
-
 	cyc *router.Router
 	fab *rotor.Fabric
 
-	id uint16
+	clockHz float64
+	id      uint16
 }
 
-// New builds a router.
-func New(opt Options) (*Router, error) {
-	if opt.Ports == 0 {
-		opt.Ports = 4
+// NewCycle builds the cycle-level router from cfg, used as given (like
+// router.New, a zero Config selects router.DefaultConfig wholesale).
+func NewCycle(cfg router.Config) (*Router, error) {
+	cyc, err := router.New(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if opt.ClockHz == 0 {
-		opt.ClockHz = 250e6
-	}
-	if opt.QuantumWords == 0 {
-		opt.QuantumWords = 256
-	}
-	r := &Router{opt: opt}
-	switch opt.Engine {
-	case EngineCycle:
-		if opt.Ports != 4 {
-			return nil, fmt.Errorf("core: the cycle engine implements the paper's 4-port router; got %d ports (use EngineFabric for §8.5 scaling)", opt.Ports)
-		}
-		cfg := router.DefaultConfig()
-		if opt.RouterConfig != nil {
-			cfg = *opt.RouterConfig
-		}
-		cfg.ClockHz = opt.ClockHz
-		cfg.QuantumWords = opt.QuantumWords
-		cfg.Engine = opt.ChipEngine
-		cfg.Crypto = opt.Crypto
-		cfg.CryptoKey = opt.CryptoKey
-		cfg.Weights = opt.Weights
-		cyc, err := router.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.cyc = cyc
-	case EngineFabric:
-		fcfg := rotor.DefaultFabricConfig()
-		fcfg.Ports = opt.Ports
-		fcfg.QuantumWords = opt.QuantumWords
-		fcfg.Weights = opt.Weights
-		fcfg.SecondNetwork = opt.SecondNetwork
-		r.fab = rotor.NewFabric(fcfg)
-	default:
-		return nil, fmt.Errorf("core: unknown engine %d", opt.Engine)
-	}
-	return r, nil
+	return &Router{cyc: cyc, clockHz: cyc.Config().ClockHz}, nil
+}
+
+// NewFabric builds the quantum-stepped fabric engine from cfg, used as
+// given. Its rates are reported at the Raw prototype's clock.
+func NewFabric(cfg rotor.FabricConfig) *Router {
+	return &Router{fab: rotor.NewFabric(cfg), clockHz: raw.DefaultClockHz}
 }
 
 // Cycle returns the underlying cycle-level router, or nil for the fabric
@@ -161,13 +87,17 @@ func (r *Router) Fabric() *rotor.Fabric { return r.fab }
 
 // Offer enqueues one packet at input port p.
 func (r *Router) Offer(p int, pkt Packet) {
-	if pkt.SizeBytes < ip.HeaderBytes {
-		pkt.SizeBytes = ip.HeaderBytes
-	}
 	if r.fab != nil {
-		r.fab.Offer(p, pkt.Dst, pkt.SizeBytes/4)
+		r.fab.Offer(p, pkt.Dst, max(pkt.SizeBytes, ip.HeaderBytes)/4)
 		return
 	}
+	ipPkt := r.ipPacket(p, pkt)
+	r.cyc.OfferPacket(p, &ipPkt)
+}
+
+// ipPacket builds the cycle engine's IP packet for pkt at input port p,
+// filling in synthetic addresses the caller left unset.
+func (r *Router) ipPacket(p int, pkt Packet) ip.Packet {
 	r.id++
 	src := pkt.SrcIP
 	if src == 0 {
@@ -177,8 +107,7 @@ func (r *Router) Offer(p int, pkt Packet) {
 	if dst == 0 {
 		dst = traffic.PortAddr(pkt.Dst, uint32(r.id)*2654435761)
 	}
-	ipPkt := ip.NewPacket(src, dst, 64, pkt.SizeBytes, r.id)
-	r.cyc.OfferPacket(p, &ipPkt)
+	return ip.NewPacket(src, dst, 64, max(pkt.SizeBytes, ip.HeaderBytes), r.id)
 }
 
 // TrafficGen produces the next packet for a port.
@@ -224,6 +153,42 @@ func (r *Router) RunMeasured(warmup, measure int64, gen TrafficGen) Results {
 	return r.cycleDelta(before)
 }
 
+// Target is a cycle-level switch seen through its external ports: a
+// router.Router, or a cluster.Fabric of them.
+type Target interface {
+	InputBacklogWords(port int) int
+	OfferPacket(port int, pkt *ip.Packet)
+	Run(cycles int64)
+}
+
+// Saturate is the closed-loop saturation driver: it runs t for cycles,
+// rounded up to whole 200-cycle chunks, and before every chunk tops each
+// port in ports up to a 4,096-word input backlog with packets from
+// next(port). The inputs never run dry, so delivered rates measure the
+// switch. next owns the packet contents (destinations, RNG draws, ids),
+// so every caller's traffic stays its own.
+func Saturate(t Target, cycles int64, ports []int, next func(port int) ip.Packet) {
+	const chunk, backlog = 200, 4096
+	for c := int64(0); c < cycles; c += chunk {
+		for _, p := range ports {
+			for t.InputBacklogWords(p) < backlog {
+				pkt := next(p)
+				t.OfferPacket(p, &pkt)
+			}
+		}
+		t.Run(chunk)
+	}
+}
+
+// Ports returns the port list 0..n-1.
+func Ports(n int) []int {
+	ps := make([]int, n)
+	for i := range ps {
+		ps[i] = i
+	}
+	return ps
+}
+
 type snapshot struct {
 	cycles      int64
 	pkts        int64
@@ -234,15 +199,7 @@ type snapshot struct {
 }
 
 func (r *Router) runCycleFor(cycles int64, gen TrafficGen) {
-	const step = 200
-	for c := int64(0); c < cycles; c += step {
-		for p := 0; p < 4; p++ {
-			for r.cyc.InputBacklogWords(p) < 4096 {
-				r.Offer(p, gen(p))
-			}
-		}
-		r.cyc.Run(step)
-	}
+	Saturate(r.cyc, cycles, Ports(4), func(p int) ip.Packet { return r.ipPacket(p, gen(p)) })
 }
 
 func (r *Router) snapCycle() snapshot {
@@ -263,12 +220,11 @@ func (r *Router) cycleDelta(before snapshot) Results {
 		Cycles:      cycles,
 		Packets:     now.pkts - before.pkts,
 		Bytes:       (now.words - before.words) * 4,
-		Gbps:        stats.Gbps((now.words-before.words)*4, cycles, r.opt.ClockHz),
-		Mpps:        stats.Mpps(now.pkts-before.pkts, cycles, r.opt.ClockHz),
+		Gbps:        stats.Gbps((now.words-before.words)*4, cycles, r.clockHz),
+		Mpps:        stats.Mpps(now.pkts-before.pkts, cycles, r.clockHz),
 		Denied:      now.denied - before.denied,
 		Reassembled: now.reassembled - before.reassembled,
-		ClockHz:     r.opt.ClockHz,
-		Engine:      EngineCycle,
+		ClockHz:     r.clockHz,
 	}
 	for p := 0; p < 4; p++ {
 		res.PerPort = append(res.PerPort, now.perPort[p]-before.perPort[p])
@@ -308,11 +264,10 @@ func (r *Router) fabricDelta(before snapshot) Results {
 		Cycles:  cycles,
 		Packets: now.pkts - before.pkts,
 		Bytes:   (now.words - before.words) * 4,
-		Gbps:    stats.Gbps((now.words-before.words)*4, cycles, r.opt.ClockHz),
-		Mpps:    stats.Mpps(now.pkts-before.pkts, cycles, r.opt.ClockHz),
+		Gbps:    stats.Gbps((now.words-before.words)*4, cycles, r.clockHz),
+		Mpps:    stats.Mpps(now.pkts-before.pkts, cycles, r.clockHz),
 		Denied:  now.denied - before.denied,
-		ClockHz: r.opt.ClockHz,
-		Engine:  EngineFabric,
+		ClockHz: r.clockHz,
 	}
 	for p := 0; p < n; p++ {
 		res.PerPort = append(res.PerPort, now.perPort[p]-before.perPort[p])

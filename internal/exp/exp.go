@@ -44,6 +44,14 @@ var chipEngine raw.Engine
 // number — the fast engine is bit-for-bit equivalent — only wall time.
 func SetEngine(e raw.Engine) { chipEngine = e }
 
+// routerConfig is the paper's router configuration, stepped by the
+// harness's chip engine.
+func routerConfig() router.Config {
+	cfg := router.DefaultConfig()
+	cfg.Engine = chipEngine
+	return cfg
+}
+
 // Quality selects experiment duration.
 type Quality int
 
@@ -82,7 +90,7 @@ func Figure71(q Quality, average bool) ([]Figure71Point, float64, *stats.Table) 
 	warm := cyclesFor(q, 80_000, 120_000)
 	var pts []Figure71Point
 	for i, size := range traffic.Sizes {
-		r, err := core.New(core.Options{ChipEngine: chipEngine})
+		r, err := core.NewCycle(routerConfig())
 		if err != nil {
 			panic(err)
 		}
@@ -132,26 +140,13 @@ func Figure73(q Quality) (small, large *trace.Recorder, render string) {
 	run := func(size int) *trace.Recorder {
 		warm := cyclesFor(q, 30_000, 60_000)
 		rec := trace.NewRecorder(16, warm, warm+800)
-		cfg := router.DefaultConfig()
+		cfg := routerConfig()
 		cfg.Tracer = rec
-		cfg.Engine = chipEngine
 		r, err := router.New(cfg)
 		if err != nil {
 			panic(err)
 		}
-		rng := traffic.NewRNG(uint64(size))
-		id := uint16(0)
-		for c := int64(0); c < warm+1200; c += 200 {
-			for p := 0; p < 4; p++ {
-				for r.InputBacklogWords(p) < 4096 {
-					id++
-					pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-						traffic.PortAddr(rng.Intn(4), uint32(id)), 64, size, id)
-					r.OfferPacket(p, &pkt)
-				}
-			}
-			r.Run(200)
-		}
+		core.Saturate(r, warm+1200, core.Ports(4), uniformPackets(uint64(size), size))
 		return rec
 	}
 	small = run(64)
@@ -215,11 +210,9 @@ func ConfigSpaceTable() *stats.Table {
 func SecondNetworkAblation(q Quality) (one, two float64, tb *stats.Table) {
 	cycles := cyclesFor(q, 300_000, 2_000_000)
 	run := func(second bool) float64 {
-		r, err := core.New(core.Options{Engine: core.EngineFabric, SecondNetwork: second})
-		if err != nil {
-			panic(err)
-		}
-		return r.RunSaturated(cycles, core.UniformTraffic(1024, 5)).Gbps
+		cfg := rotor.DefaultFabricConfig()
+		cfg.SecondNetwork = second
+		return core.NewFabric(cfg).RunSaturated(cycles, core.UniformTraffic(1024, 5)).Gbps
 	}
 	one, two = run(false), run(true)
 	tb = &stats.Table{
@@ -370,10 +363,9 @@ func Scale8(q Quality) *stats.Table {
 		Headers: []string{"ports", "Gbps", "Gbps/port", "grant ratio"},
 	}
 	for _, n := range []int{4, 8, 16} {
-		r, err := core.New(core.Options{Engine: core.EngineFabric, Ports: n})
-		if err != nil {
-			panic(err)
-		}
+		cfg := rotor.DefaultFabricConfig()
+		cfg.Ports = n
+		r := core.NewFabric(cfg)
 		rng := traffic.NewRNG(uint64(n))
 		res := r.RunSaturated(cycles, func(port int) core.Packet {
 			return core.Packet{Dst: rng.Intn(n), SizeBytes: 1024}
@@ -392,7 +384,7 @@ func Scale8(q Quality) *stats.Table {
 // Headline checks the §7.2 headline: ≈3.3 Mpps and ≈26.9 Gbps at 1,024
 // bytes peak.
 func Headline(q Quality) (mpps, gbps float64) {
-	r, err := core.New(core.Options{ChipEngine: chipEngine})
+	r, err := core.NewCycle(routerConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -488,32 +480,22 @@ func McastCells(q Quality) (atomic, splitting, replication float64, tb *stats.Ta
 // unicast/multicast workload through the real router, reporting the
 // egress-copy amplification fanout-splitting provides.
 func McastCycle(q Quality) (amplification float64, tb *stats.Table) {
-	cfg := router.DefaultConfig()
+	cfg := routerConfig()
 	cfg.Multicast = true
 	cfg.Groups = map[ip.Addr]uint8{ip.AddrFrom(224, 1, 1, 1): 0b1111}
-	cfg.Engine = chipEngine
 	r, err := router.New(cfg)
 	if err != nil {
 		panic(err)
 	}
 	rng := traffic.NewRNG(7)
 	id := uint16(0)
-	cycles := cyclesFor(q, 60_000, 200_000)
-	for c := int64(0); c < cycles; c += 200 {
-		for p := 0; p < 4; p++ {
-			for r.InputBacklogWords(p) < 4096 {
-				id++
-				var pkt ip.Packet
-				if rng.Float64() < 0.3 {
-					pkt = ip.NewPacket(traffic.PortAddr(p, uint32(id)), ip.AddrFrom(224, 1, 1, 1), 64, 256, id)
-				} else {
-					pkt = ip.NewPacket(traffic.PortAddr(p, uint32(id)), traffic.PortAddr(rng.Intn(4), uint32(id)), 64, 256, id)
-				}
-				r.OfferPacket(p, &pkt)
-			}
+	core.Saturate(r, cyclesFor(q, 60_000, 200_000), core.Ports(4), func(p int) ip.Packet {
+		id++
+		if rng.Float64() < 0.3 {
+			return ip.NewPacket(traffic.PortAddr(p, uint32(id)), ip.AddrFrom(224, 1, 1, 1), 64, 256, id)
 		}
-		r.Run(200)
-	}
+		return ip.NewPacket(traffic.PortAddr(p, uint32(id)), traffic.PortAddr(rng.Intn(4), uint32(id)), 64, 256, id)
+	})
 	var in, out int64
 	for p := 0; p < 4; p++ {
 		in += r.Stats().PktsIn[p]
@@ -551,42 +533,46 @@ func ISLIPIterations(q Quality) *stats.Table {
 }
 
 // ClusterScaling regenerates the §8.5 multi-chip composition study at
-// cycle level: two 4-port chips joined by a two-link trunk sustain full
+// cycle level: two 4-port chips joined by a two-link trunk (a 2-chip
+// ring fabric: externals 0,1 on chip 0 and 2,3 on chip 1) sustain full
 // external bandwidth for balanced cross-chip traffic, paying a second
 // traversal in latency.
 func ClusterScaling(q Quality) *stats.Table {
-	rounds := int(cyclesFor(q, 250, 600))
-	run := func(remote bool) (gbps float64, c *cluster.TwoChip) {
-		c, err := cluster.NewTwoChip(router.DefaultConfig())
+	cycles := cyclesFor(q, 250, 600) * 200
+	run := func(remote bool) (gbps float64, aToB int64) {
+		f, err := cluster.NewFabric(cluster.Config{Topology: cluster.Ring(2), Router: routerConfig()})
 		if err != nil {
 			panic(err)
 		}
 		id := uint16(0)
-		for i := 0; i < rounds; i++ {
-			for p := 0; p < 4; p++ {
-				for c.InputBacklogWords(p) < 4096 {
-					id++
-					dst := p ^ 1
-					if remote {
-						dst = (p + 2) % 4
-					}
-					pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-						traffic.PortAddr(dst, uint32(id)), 64, 1024, id)
-					c.OfferPacket(p, &pkt)
-				}
+		core.Saturate(f, cycles, core.Ports(4), func(p int) ip.Packet {
+			id++
+			dst := p ^ 1
+			if remote {
+				dst = (p + 2) % 4
 			}
-			c.Run(200)
+			return ip.NewPacket(traffic.PortAddr(p, uint32(id)),
+				traffic.PortAddr(dst, uint32(id)), 64, 1024, id)
+		})
+		// Words chip 0 sent toward chip 1, over both trunk links.
+		for ti, t := range f.Spec().Trunks() {
+			d := 0
+			if t.A != 0 {
+				d = 1
+			}
+			drained, _, _, _, _ := f.TrunkCounters(ti, d)
+			aToB += drained
 		}
-		return stats.Gbps(c.ExternalWordsOut()*4, c.Cycle(), 250e6), c
+		return stats.Gbps(f.ExternalWordsOut()*4, f.Cycle(), raw.DefaultClockHz), aToB
 	}
 	local, _ := run(false)
-	remote, rc := run(true)
+	remote, aToB := run(true)
 	tb := &stats.Table{
 		Caption: "§8.5 two-chip composition (cycle level): 2-link trunk, balanced traffic",
 		Headers: []string{"traffic", "Gbps", "trunk words A->B"},
 	}
 	tb.AddRow("chip-local pairs", local, 0)
-	tb.AddRow("all cross-chip", remote, rc.TrunkWords[0])
+	tb.AddRow("all cross-chip", remote, aToB)
 	return tb
 }
 
@@ -666,7 +652,7 @@ func CycleLatency(q Quality) *stats.Table {
 		for _, dst := range []int{1, 2} { // 1 ring hop and 2 ring hops
 			var total int64
 			for k := 0; k < trials; k++ {
-				r, err := router.New(router.DefaultConfig())
+				r, err := router.New(routerConfig())
 				if err != nil {
 					panic(err)
 				}
@@ -697,7 +683,9 @@ func QuantumAblation(q Quality) *stats.Table {
 		Headers: []string{"quantum (words)", "Gbps", "frags/pkt"},
 	}
 	for _, qw := range []int{64, 128, 256} {
-		r, err := core.New(core.Options{QuantumWords: qw, ChipEngine: chipEngine})
+		cfg := routerConfig()
+		cfg.QuantumWords = qw
+		r, err := core.NewCycle(cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -738,9 +726,7 @@ func NetprocConvergence() *stats.Table {
 func DegradedCrossbar(q Quality) (healthy, degraded []float64, tb *stats.Table) {
 	cycles := cyclesFor(q, 30_000, 120_000)
 	run := func(size, dead int) float64 {
-		cfg := router.DefaultConfig()
-		cfg.Engine = chipEngine
-		r, err := router.New(cfg)
+		r, err := router.New(routerConfig())
 		if err != nil {
 			panic(err)
 		}
@@ -755,19 +741,17 @@ func DegradedCrossbar(q Quality) (healthy, degraded []float64, tb *stats.Table) 
 				panic(err)
 			}
 		}
-		id := uint16(0)
-		for c := int64(0); c < cycles; c += 200 {
-			for i, p := range live {
-				dst := live[(i+1)%len(live)]
-				for r.InputBacklogWords(p) < 4096 {
-					id++
-					pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-						traffic.PortAddr(dst, uint32(id)), 64, size, id)
-					r.OfferPacket(p, &pkt)
-				}
-			}
-			r.Run(200)
+		// Each live port sends to the next live port round the ring.
+		var next [4]int
+		for i, p := range live {
+			next[p] = live[(i+1)%len(live)]
 		}
+		id := uint16(0)
+		core.Saturate(r, cycles, live, func(p int) ip.Packet {
+			id++
+			return ip.NewPacket(traffic.PortAddr(p, uint32(id)),
+				traffic.PortAddr(next[p], uint32(id)), 64, size, id)
+		})
 		return r.ThroughputGbps()
 	}
 	tb = &stats.Table{
@@ -804,8 +788,7 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 	warmup := cyclesFor(q, 10_000, 20_000)
 	window := cyclesFor(q, 40_000, 100_000)
 	run := func(size int, arc bool) float64 {
-		cfg := router.DefaultConfig()
-		cfg.Engine = chipEngine
+		cfg := routerConfig()
 		cfg.ReprobeQuanta = reprobeQuanta
 		r, err := router.New(cfg)
 		if err != nil {
@@ -825,28 +808,14 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 				panic("exp: restore never completed")
 			}
 		}
-		rng := traffic.NewRNG(1234)
-		id := uint16(0)
-		feed := func(cycles int64) {
-			for c := int64(0); c < cycles; c += 200 {
-				for p := 0; p < 4; p++ {
-					for r.InputBacklogWords(p) < 4096 {
-						id++
-						pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-							traffic.PortAddr(rng.Intn(4), uint32(id)), 64, size, id)
-						r.OfferPacket(p, &pkt)
-					}
-				}
-				r.Run(200)
-			}
-		}
-		feed(warmup)
+		next := uniformPackets(1234, size)
+		core.Saturate(r, warmup, core.Ports(4), next)
 		var start int64
 		for p := 0; p < 4; p++ {
 			start += r.OutputWords(p)
 		}
 		startCycle := r.Cycle()
-		feed(window)
+		core.Saturate(r, window, core.Ports(4), next)
 		var words int64
 		for p := 0; p < 4; p++ {
 			words += r.OutputWords(p)
@@ -874,27 +843,13 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 // the snapshot — and therefore every number in the table — is
 // bit-for-bit identical on either engine.
 func Telemetry(q Quality) (snap telemetry.Snapshot, tb *stats.Table) {
-	cfg := router.DefaultConfig()
-	cfg.Engine = chipEngine
+	cfg := routerConfig()
 	cfg.Metrics = telemetry.New(telemetry.Config{})
 	r, err := router.New(cfg)
 	if err != nil {
 		panic(err)
 	}
-	rng := traffic.NewRNG(42)
-	id := uint16(0)
-	cycles := cyclesFor(q, 40_000, 150_000)
-	for c := int64(0); c < cycles; c += 200 {
-		for p := 0; p < 4; p++ {
-			for r.InputBacklogWords(p) < 4096 {
-				id++
-				pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-					traffic.PortAddr(rng.Intn(4), uint32(id)), 64, 1024, id)
-				r.OfferPacket(p, &pkt)
-			}
-		}
-		r.Run(200)
-	}
+	core.Saturate(r, cyclesFor(q, 40_000, 150_000), core.Ports(4), uniformPackets(42, 1024))
 	snap = r.TelemetrySnapshot()
 	tb = &stats.Table{
 		Caption: "telemetry plane: per-quantum metrics over a saturated uniform workload",
@@ -906,4 +861,17 @@ func Telemetry(q Quality) (snap telemetry.Snapshot, tb *stats.Table) {
 			ps.LinkUtilization, ps.TokenWait.Mean())
 	}
 	return snap, tb
+}
+
+// uniformPackets returns a saturation packet source of size-byte packets
+// to uniformly drawn outputs, from an RNG seeded with seed and ids
+// counting up from 1.
+func uniformPackets(seed uint64, size int) func(p int) ip.Packet {
+	rng := traffic.NewRNG(seed)
+	id := uint16(0)
+	return func(p int) ip.Packet {
+		id++
+		return ip.NewPacket(traffic.PortAddr(p, uint32(id)),
+			traffic.PortAddr(rng.Intn(4), uint32(id)), 64, size, id)
+	}
 }

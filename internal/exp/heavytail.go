@@ -46,7 +46,7 @@ func HeavyTail(q Quality) ([]HeavyTailPoint, *stats.Table) {
 		}
 
 		// Saturated closed-loop throughput.
-		r, err := core.New(core.Options{ChipEngine: chipEngine})
+		r, err := core.NewCycle(routerConfig())
 		if err != nil {
 			panic(err)
 		}
@@ -61,7 +61,7 @@ func HeavyTail(q Quality) ([]HeavyTailPoint, *stats.Table) {
 		if err != nil {
 			panic(err)
 		}
-		r2, err := core.New(core.Options{ChipEngine: chipEngine})
+		r2, err := core.NewCycle(routerConfig())
 		if err != nil {
 			panic(err)
 		}

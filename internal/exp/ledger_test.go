@@ -57,7 +57,9 @@ func TestTraceLedgerAcrossConsumers(t *testing.T) {
 		{"fast/live", raw.EngineFast, live},
 	}
 	for _, cfg := range configs {
-		r, err := core.New(core.Options{ChipEngine: cfg.engine})
+		rcfg := router.DefaultConfig()
+		rcfg.Engine = cfg.engine
+		r, err := core.NewCycle(rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +93,7 @@ func TestTraceLedgerAcrossConsumers(t *testing.T) {
 		t.Fatal(err)
 	}
 	rcfg := router.DefaultConfig()
-	rr, err := core.New(core.Options{RouterConfig: &rcfg})
+	rr, err := core.NewCycle(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"repro/internal/cluster"
 	"repro/internal/ip"
-	"repro/internal/router"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -73,8 +72,7 @@ func scaleOutVictim(spec cluster.Spec) int {
 // before any traffic is offered and report the surviving externals'
 // sustained bandwidth.
 func scaleOutRun(spec cluster.Spec, rounds, mode int) (float64, float64) {
-	cfg := cluster.Config{Topology: spec, Router: router.DefaultConfig()}
-	cfg.Router.Engine = chipEngine
+	cfg := cluster.Config{Topology: spec, Router: routerConfig()}
 	if mode == scaleOutHealed {
 		cfg.Heal = cluster.HealConfig{Enabled: true}
 	}

@@ -28,7 +28,7 @@ func newTestRouter(t *testing.T, mod func(*router.Config)) *router.Router {
 	if mod != nil {
 		mod(&rcfg)
 	}
-	r, err := core.New(core.Options{RouterConfig: &rcfg})
+	r, err := core.NewCycle(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

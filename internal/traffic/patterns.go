@@ -3,8 +3,7 @@ package traffic
 // Registry entries for the closed-loop patterns: the paper's three
 // sweeps (uniform, permutation, hotspot), the bursty adversary, and the
 // fabric collectives. Each wraps the corresponding Source type from
-// traffic.go/collective.go; the deprecated New* constructors remain as
-// thin shims over these for one release.
+// traffic.go/collective.go.
 
 import "fmt"
 

@@ -17,6 +17,12 @@ go vet ./...
 test -z "$(gofmt -l $(git ls-files '*.go'))"
 go test -race ./...
 
+echo "== tier-2: reproduce golden gate =="
+# Every regenerated number is deterministic: `reproduce -quick` with its
+# per-section timing lines stripped must match the checked-in golden
+# (see scripts/reproduce_golden.sh for the refresh one-liner).
+sh scripts/reproduce_golden.sh
+
 echo "== tier-2: chaos harness (fixed seed matrix, race detector) =="
 # Seeds are pinned inside the tests (fault.Random seeds 1,2,3,5,7 and the
 # crash/corruption schedules), so this matrix is fully reproducible:
