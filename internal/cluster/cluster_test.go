@@ -81,6 +81,34 @@ func TestLocalPacketStaysOnChip(t *testing.T) {
 	}
 }
 
+// TestAllClusterPairs: on a fresh two-chip composition every ordered
+// pair of the four external ports delivers its packet, local or across
+// the trunk.
+func TestAllClusterPairs(t *testing.T) {
+	for src := 0; src < 4; src++ {
+		for dst := 0; dst < 4; dst++ {
+			if src == dst {
+				continue
+			}
+			f := mustFabric(t, cluster.Ring(2), nil)
+			pkt := ip.NewPacket(traffic.PortAddr(src, 1), traffic.PortAddr(dst, 9), 64, 128, 7)
+			f.OfferPacket(src, &pkt)
+			ok := false
+			for i := 0; i < 600 && !ok; i++ {
+				f.Run(100)
+				out, err := f.DrainOutput(dst)
+				if err != nil {
+					t.Fatalf("%d->%d: %v", src, dst, err)
+				}
+				ok = len(out) == 1
+			}
+			if !ok {
+				t.Fatalf("%d->%d never delivered", src, dst)
+			}
+		}
+	}
+}
+
 // TestTrunkScaling (§8.5): with balanced remote traffic the two trunk
 // links carry the two cross-chip streams per direction at full rate —
 // composition preserves external bandwidth — while the second lookup and
